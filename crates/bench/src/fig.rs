@@ -1,19 +1,18 @@
 //! Figure drivers: each regenerates one table/figure of the paper as TSV
-//! on stdout (see DESIGN.md §4 for the experiment index).
+//! (see DESIGN.md §4 for the experiment index).
 //!
-//! Every driver comes in two layers: a `*_text` function that takes
-//! explicit scale knobs plus a `jobs` worker count and *returns* the
-//! TSV, and a thin printing wrapper that fills the knobs from the
-//! environment (`SBQ_OPS`, `SBQ_THREADS`, `SBQ_JOBS`). Each sweep point
-//! is one independent simulation, so the text layer fans the points
-//! across a [`runner`] job pool and joins the rows in submission order —
-//! the output is byte-identical for any `jobs` value (the equivalence
-//! suite in `tests/figures_jobs.rs` pins this).
+//! [`Figure`] is the registry: one variant per figure, its default
+//! scale, and [`Figure::text`], which renders it from explicit scale
+//! knobs plus a `jobs` worker count; [`all_text`] concatenates every
+//! figure. `simctl fig` is the command-line face. Each sweep point is
+//! one independent simulation, so a figure fans its points across a
+//! [`runner`] job pool and joins the rows in submission order — the
+//! output is byte-identical for any `jobs` value (the equivalence suite
+//! in `tests/figures_jobs.rs` pins this).
 
 use crate::workload::{
     numa_workload, paper_workload, run_workload, Measurement, NumaShape, WorkloadKind,
 };
-use crate::{env_u64, thread_counts};
 use absmem::ThreadCtx;
 use coherence::{cycles_to_ns, Machine, MachineConfig, Program, SimCtx, TraceEvent};
 use harness::QueueKind;
@@ -25,6 +24,158 @@ use std::sync::{Arc, Mutex};
 /// Default thread sweep for single-socket figures (1–44 hardware threads,
 /// matching the paper's x-axis).
 const SWEEP: &[usize] = &[1, 2, 4, 8, 12, 16, 22, 28, 36, 44];
+
+/// Every figure of the evaluation, in the order [`all_text`] renders
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Figure {
+    Fig1,
+    Fig2,
+    Fig3,
+    Fig5,
+    Fig6,
+    Fig7,
+    Speedups,
+    AblateDelay,
+    AblateFix,
+    AblateBasket,
+    AblateDeq,
+    Numa,
+}
+
+impl Figure {
+    pub const ALL: [Figure; 12] = [
+        Figure::Fig1,
+        Figure::Fig2,
+        Figure::Fig3,
+        Figure::Fig5,
+        Figure::Fig6,
+        Figure::Fig7,
+        Figure::Speedups,
+        Figure::AblateDelay,
+        Figure::AblateFix,
+        Figure::AblateBasket,
+        Figure::AblateDeq,
+        Figure::Numa,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Figure::Fig1 => "fig1",
+            Figure::Fig2 => "fig2",
+            Figure::Fig3 => "fig3",
+            Figure::Fig5 => "fig5",
+            Figure::Fig6 => "fig6",
+            Figure::Fig7 => "fig7",
+            Figure::Speedups => "speedups",
+            Figure::AblateDelay => "ablate-delay",
+            Figure::AblateFix => "ablate-fix",
+            Figure::AblateBasket => "ablate-basket",
+            Figure::AblateDeq => "ablate-deq",
+            Figure::Numa => "numa",
+        }
+    }
+
+    pub fn parse(s: &str) -> Option<Figure> {
+        Figure::ALL.into_iter().find(|f| f.name() == s)
+    }
+
+    /// Measured operations per thread by default, or `None` for the
+    /// fixed-size trace reproductions (fig2, fig3).
+    pub fn default_ops(self) -> Option<u64> {
+        match self {
+            Figure::Fig2 | Figure::Fig3 => None,
+            Figure::Fig1 => Some(300),
+            Figure::AblateFix | Figure::AblateDeq => Some(150),
+            Figure::Numa => Some(120),
+            _ => Some(200),
+        }
+    }
+
+    /// The thread sweep by default, or `None` when the figure's machine
+    /// sizes are fixed. Speedups, ablate-delay and ablate-basket run at
+    /// one width: the sweep's last entry.
+    pub fn default_threads(self) -> Option<&'static [usize]> {
+        match self {
+            Figure::Fig1 | Figure::Fig5 | Figure::Fig6 | Figure::Fig7 | Figure::Speedups => {
+                Some(SWEEP)
+            }
+            Figure::AblateDelay => Some(&[22]),
+            Figure::AblateBasket => Some(&[16]),
+            Figure::AblateDeq => Some(&[2, 8, 16, 32, 44]),
+            Figure::Fig2 | Figure::Fig3 | Figure::AblateFix | Figure::Numa => None,
+        }
+    }
+
+    /// Renders the figure as TSV. A `None` knob takes the figure's
+    /// default (`grid`: [`NUMA_GRID`]); knobs the figure does not use are
+    /// ignored. A given `threads` list must be non-empty.
+    pub fn text(
+        self,
+        ops: Option<u64>,
+        threads: Option<&[usize]>,
+        grid: Option<&[(usize, usize)]>,
+        jobs: usize,
+    ) -> String {
+        let ops = ops.or(self.default_ops()).unwrap_or(0);
+        let threads = threads.or(self.default_threads()).unwrap_or(&[]);
+        let top = threads.last().copied().unwrap_or(0);
+        match self {
+            Figure::Fig1 => fig1_text(ops, threads, jobs),
+            Figure::Fig2 => fig2_text(jobs),
+            Figure::Fig3 => fig3_text(jobs),
+            Figure::Fig5 => queue_figure_text(
+                WorkloadKind::ProducerOnly,
+                "# Figure 5: enqueue-only — latency[ns/op]/throughput[Mop/s] per queue",
+                |m| vec![m.latency_ns, m.throughput_mops],
+                ops,
+                threads,
+                jobs,
+            ),
+            Figure::Fig6 => queue_figure_text(
+                WorkloadKind::ConsumerOnly,
+                "# Figure 6: dequeue-only — latency[ns/op] per queue",
+                |m| vec![m.latency_ns],
+                ops,
+                threads,
+                jobs,
+            ),
+            Figure::Fig7 => queue_figure_text(
+                WorkloadKind::Mixed,
+                "# Figure 7: mixed producers(socket0)/consumers(socket1) — duration[ns/op]",
+                |m| vec![m.duration_ns_per_op],
+                ops,
+                threads,
+                jobs,
+            ),
+            Figure::Speedups => speedups_text(ops, top, jobs),
+            Figure::AblateDelay => ablate_delay_text(ops, top, jobs),
+            Figure::AblateFix => ablate_fix_text(ops, jobs),
+            Figure::AblateBasket => ablate_basket_text(ops, top, jobs),
+            Figure::AblateDeq => ablate_deq_text(ops, threads, jobs),
+            Figure::Numa => fig_numa_text(ops, grid.unwrap_or(NUMA_GRID), jobs),
+        }
+    }
+}
+
+/// Every figure in [`Figure::ALL`] order with the same knobs: the full
+/// evaluation. A blank line separates the figures, except after fig2
+/// and fig3, whose trace tables already end in one.
+pub fn all_text(
+    ops: Option<u64>,
+    threads: Option<&[usize]>,
+    grid: Option<&[(usize, usize)]>,
+    jobs: usize,
+) -> String {
+    let mut s = String::new();
+    for (i, fig) in Figure::ALL.into_iter().enumerate() {
+        s.push_str(&fig.text(ops, threads, grid, jobs));
+        if i + 1 < Figure::ALL.len() && !matches!(fig, Figure::Fig2 | Figure::Fig3) {
+            s.push('\n');
+        }
+    }
+    s
+}
 
 fn header_row(cols: &[&str]) -> String {
     format!("{}\n", cols.join("\t"))
@@ -122,7 +273,7 @@ fn fig1_point_on(
 
 /// Figure 1 as TSV: TxCAS vs standard FAA latency as contention grows.
 /// One job per thread count.
-pub fn fig1_text(ops: u64, threads: &[usize], jobs: usize) -> String {
+fn fig1_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     let mut s = String::from("# Figure 1: operation latency [ns/op] vs concurrent threads\n");
     s.push_str(&header_row(&["threads", "FAA", "TxCAS"]));
     let tasks: Vec<_> = threads
@@ -137,18 +288,6 @@ pub fn fig1_text(ops: u64, threads: &[usize], jobs: usize) -> String {
         .collect();
     s.push_str(&sweep_rows(jobs, tasks));
     s
-}
-
-/// Figure 1: TxCAS vs standard FAA latency as contention grows.
-pub fn fig1() {
-    print!(
-        "{}",
-        fig1_text(
-            env_u64("SBQ_OPS", 300),
-            &thread_counts(SWEEP),
-            runner::default_jobs()
-        )
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -192,7 +331,7 @@ fn trace_rows(trace: &[TraceEvent], from: u64, limit: usize) -> String {
 
 /// Figure 2 as TSV: message dynamics of contended standard CAS (2a) vs
 /// HTM-based CAS (2b), three cores. One job per variant.
-pub fn fig2_text(jobs: usize) -> String {
+fn fig2_text(jobs: usize) -> String {
     let tasks: Vec<_> = [false, true]
         .into_iter()
         .map(|htm| {
@@ -251,7 +390,7 @@ pub fn fig2_text(jobs: usize) -> String {
                     report.stats.tx_commits, report.stats.tx_aborts_conflict
                 );
                 s.push_str("# swim lanes:\n");
-                s.push_str(&crate::trace_render::render_lanes(
+                s.push_str(&obs::trace_render::render_lanes(
                     &report.trace,
                     &["Dir", "C0", "C1", "C2"],
                     40,
@@ -264,15 +403,9 @@ pub fn fig2_text(jobs: usize) -> String {
     sweep_rows(jobs, tasks)
 }
 
-/// Figure 2: message dynamics of contended standard CAS (2a) vs HTM-based
-/// CAS (2b), three cores.
-pub fn fig2() {
-    print!("{}", fig2_text(runner::default_jobs()));
-}
-
 /// Figure 3 as TSV: the tripped-writer race, with and without the §3.4.1
 /// microarchitectural fix. One job per variant.
-pub fn fig3_text(jobs: usize) -> String {
+fn fig3_text(jobs: usize) -> String {
     let tasks: Vec<_> = [false, true]
         .into_iter()
         .map(|fix| {
@@ -343,16 +476,12 @@ pub fn fig3_text(jobs: usize) -> String {
     sweep_rows(jobs, tasks)
 }
 
-/// Figure 3: the tripped-writer race, with and without the §3.4.1
-/// microarchitectural fix.
-pub fn fig3() {
-    print!("{}", fig3_text(runner::default_jobs()));
-}
-
 // ---------------------------------------------------------------------
 // Figures 5–7: the queue benchmarks
 // ---------------------------------------------------------------------
 
+/// One queue figure as TSV: a row per thread count (doubled for the
+/// mixed workload), a `metric` column per paper queue. One job per row.
 fn queue_figure_text(
     kind: WorkloadKind,
     title: &str,
@@ -394,61 +523,10 @@ fn queue_figure_text(
     s
 }
 
-fn queue_figure(kind: WorkloadKind, title: &str, metric: fn(&Measurement) -> Vec<f64>) {
-    print!(
-        "{}",
-        queue_figure_text(
-            kind,
-            title,
-            metric,
-            env_u64("SBQ_OPS", 200),
-            &thread_counts(SWEEP),
-            runner::default_jobs()
-        )
-    );
-}
-
-/// Figure 5 as TSV (explicit scale; one job per thread count).
-pub fn fig5_text(ops: u64, threads: &[usize], jobs: usize) -> String {
-    queue_figure_text(
-        WorkloadKind::ProducerOnly,
-        "# Figure 5: enqueue-only — latency[ns/op]/throughput[Mop/s] per queue",
-        |m| vec![m.latency_ns, m.throughput_mops],
-        ops,
-        threads,
-        jobs,
-    )
-}
-
-/// Figure 5: producer-only latency [ns/op] and throughput [Mop/s].
-pub fn fig5() {
-    queue_figure(
-        WorkloadKind::ProducerOnly,
-        "# Figure 5: enqueue-only — latency[ns/op]/throughput[Mop/s] per queue",
-        |m| vec![m.latency_ns, m.throughput_mops],
-    );
-}
-
-/// Figure 6: consumer-only dequeue latency [ns/op].
-pub fn fig6() {
-    queue_figure(
-        WorkloadKind::ConsumerOnly,
-        "# Figure 6: dequeue-only — latency[ns/op] per queue",
-        |m| vec![m.latency_ns],
-    );
-}
-
-/// Figure 7: mixed workload, normalized duration [ns/op].
-pub fn fig7() {
-    queue_figure(
-        WorkloadKind::Mixed,
-        "# Figure 7: mixed producers(socket0)/consumers(socket1) — duration[ns/op]",
-        |m| vec![m.duration_ns_per_op],
-    );
-}
-
-/// The headline comparison as TSV: one job per workload row.
-pub fn speedups_text(ops: u64, t: usize, jobs: usize) -> String {
+/// The headline comparison (§1, §6.2) as TSV: SBQ-HTM vs WF-Queue
+/// throughput ratio on producer-only and mixed workloads at full
+/// concurrency. One job per workload row.
+fn speedups_text(ops: u64, t: usize, jobs: usize) -> String {
     let mut s = String::from("# Headline speedups (SBQ-HTM over WF-Queue)\n");
     s.push_str(&header_row(&[
         "workload", "threads", "sbq_thr", "wf_thr", "speedup",
@@ -476,16 +554,6 @@ pub fn speedups_text(ops: u64, t: usize, jobs: usize) -> String {
     s
 }
 
-/// The headline comparison (§1, §6.2): SBQ-HTM vs WF-Queue throughput
-/// ratio on producer-only and mixed workloads at full concurrency.
-pub fn speedups() {
-    let t = *thread_counts(SWEEP).last().unwrap_or(&44);
-    print!(
-        "{}",
-        speedups_text(env_u64("SBQ_OPS", 200), t, runner::default_jobs())
-    );
-}
-
 // ---------------------------------------------------------------------
 // NUMA sweeps: 44/88/176 cores on 1–4 sockets
 // ---------------------------------------------------------------------
@@ -494,21 +562,15 @@ pub fn speedups() {
 /// dual-socket 88 it measures on, and a quad-socket 176 projection.
 pub const NUMA_GRID: &[(usize, usize)] = &[(1, 44), (2, 88), (4, 176)];
 
-/// Parses `spec` as a `sockets x threads` grid (e.g. `"1x44,2x88"`),
-/// falling back to [`NUMA_GRID`] when empty or unparseable.
-pub fn numa_grid(spec: &str) -> Vec<(usize, usize)> {
-    let parsed: Vec<(usize, usize)> = spec
-        .split(',')
-        .filter_map(|p| {
+/// Parses `spec` as a `sockets x threads` grid (e.g. `"1x44,2x88"`);
+/// `None` when the spec is empty or any entry does not parse.
+pub fn numa_grid(spec: &str) -> Option<Vec<(usize, usize)>> {
+    spec.split(',')
+        .map(|p| {
             let (s, t) = p.trim().split_once('x')?;
             Some((s.trim().parse().ok()?, t.trim().parse().ok()?))
         })
-        .collect();
-    if parsed.is_empty() {
-        NUMA_GRID.to_vec()
-    } else {
-        parsed
-    }
+        .collect()
 }
 
 /// The NUMA figure as TSV — two tables over a `(sockets, threads)` grid:
@@ -520,7 +582,7 @@ pub fn numa_grid(spec: &str) -> Vec<(usize, usize)> {
 ///   SBQ-CAS (FAA/CAS) baseline, with the hop split of the SBQ-HTM run.
 ///
 /// One job per grid point per table, joined in submission order.
-pub fn fig_numa_text(ops: u64, grid: &[(usize, usize)], jobs: usize) -> String {
+fn fig_numa_text(ops: u64, grid: &[(usize, usize)], jobs: usize) -> String {
     let mut s = String::from(
         "# NUMA sweep A: TxCAS vs FAA across sockets — latency[ns/op], cross-socket hops\n",
     );
@@ -593,23 +655,13 @@ pub fn fig_numa_text(ops: u64, grid: &[(usize, usize)], jobs: usize) -> String {
     s
 }
 
-/// The NUMA figure with environment knobs: `SBQ_OPS` scales per-thread
-/// work, `SBQ_NUMA_GRID` overrides the `sockets x threads` grid (e.g.
-/// `SBQ_NUMA_GRID=2x88` for one dual-socket point).
-pub fn fig_numa() {
-    let grid = numa_grid(&std::env::var("SBQ_NUMA_GRID").unwrap_or_default());
-    print!(
-        "{}",
-        fig_numa_text(env_u64("SBQ_OPS", 120), &grid, runner::default_jobs())
-    );
-}
-
 // ---------------------------------------------------------------------
 // Ablations
 // ---------------------------------------------------------------------
 
-/// §4.1 ablation as TSV: one job per delay value.
-pub fn ablate_delay_text(ops: u64, t: usize, jobs: usize) -> String {
+/// §4.1 ablation as TSV: the intra-transaction delay swept at high
+/// contention. One job per delay value.
+fn ablate_delay_text(ops: u64, t: usize, jobs: usize) -> String {
     let mut s = format!(
         "# Ablation: TxCAS intra-transaction delay at {t} threads (paper optimum ~600 cycles = 270ns)\n"
     );
@@ -639,17 +691,9 @@ pub fn ablate_delay_text(ops: u64, t: usize, jobs: usize) -> String {
     s
 }
 
-/// §4.1: sweep the intra-transaction delay at high contention.
-pub fn ablate_delay() {
-    let t = *thread_counts(&[22]).last().unwrap_or(&22);
-    print!(
-        "{}",
-        ablate_delay_text(env_u64("SBQ_OPS", 200), t, runner::default_jobs())
-    );
-}
-
-/// §3.4.1 ablation as TSV: one job per fix variant.
-pub fn ablate_fix_text(ops: u64, jobs: usize) -> String {
+/// §3.4.1 ablation as TSV: tripped writers across sockets, with and
+/// without the fix. One job per fix variant.
+fn ablate_fix_text(ops: u64, jobs: usize) -> String {
     let mut s =
         String::from("# Ablation: cross-socket TxCAS — tripped writers and the microarch fix\n");
     s.push_str(&header_row(&[
@@ -714,16 +758,9 @@ pub fn ablate_fix_text(ops: u64, jobs: usize) -> String {
     s
 }
 
-/// §3.4.1: tripped writers across sockets, with and without the fix.
-pub fn ablate_fix() {
-    print!(
-        "{}",
-        ablate_fix_text(env_u64("SBQ_OPS", 150), runner::default_jobs())
-    );
-}
-
-/// §5.3.4 ablation as TSV: one job per capacity / thread-count point.
-pub fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
+/// §5.3.4 ablation as TSV: basket capacity B vs enqueue latency (O(B/T)
+/// initialization). One job per capacity / thread-count point.
+fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
     // Axis 1: oversizing the basket at fixed threads. The algorithm gives
     // every enqueuer a private cell, so capacity < threads is structurally
     // unsupported — the sweep starts at the thread count.
@@ -764,17 +801,11 @@ pub fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
     s
 }
 
-/// §5.3.4: basket capacity B vs enqueue latency (O(B/T) initialization).
-pub fn ablate_basket() {
-    let t = *thread_counts(&[16]).last().unwrap_or(&16);
-    print!(
-        "{}",
-        ablate_basket_text(env_u64("SBQ_OPS", 200), t, runner::default_jobs())
-    );
-}
-
-/// §8 ablation as TSV: one job per thread count.
-pub fn ablate_deq_text(ops: u64, threads: &[usize], jobs: usize) -> String {
+/// §8 future work as TSV: the stock SBQ basket (FAA-ticketed
+/// extraction) against the experimental striped basket on the
+/// consumer-only workload, where the FAA is the bottleneck (§5.3.4).
+/// One job per thread count.
+fn ablate_deq_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     use crate::workload::run_generic;
     use harness::{SbqHtmQ, SbqStripedQ};
     let mut s = String::from(
@@ -800,41 +831,15 @@ pub fn ablate_deq_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     s
 }
 
-/// §8 future work: scalable-dequeue basket. Compares the stock SBQ basket
-/// (FAA-ticketed extraction) against the experimental striped basket on
-/// the consumer-only workload, where the FAA is the bottleneck (§5.3.4).
-pub fn ablate_deq() {
-    print!(
-        "{}",
-        ablate_deq_text(
-            env_u64("SBQ_OPS", 150),
-            &thread_counts(&[2, 8, 16, 32, 44]),
-            runner::default_jobs()
-        )
-    );
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Runs every figure in sequence (the `cargo bench` entry point).
-pub fn all() {
-    fig1();
-    println!();
-    fig2();
-    fig3();
-    fig5();
-    println!();
-    fig6();
-    println!();
-    fig7();
-    println!();
-    speedups();
-    println!();
-    ablate_delay();
-    println!();
-    ablate_fix();
-    println!();
-    ablate_basket();
-    println!();
-    ablate_deq();
-    println!();
-    fig_numa();
+    #[test]
+    fn numa_grid_parses_every_entry_or_nothing() {
+        assert_eq!(numa_grid("1x44, 2x88"), Some(vec![(1, 44), (2, 88)]));
+        for bad in ["garbage", "2x", "", "2x88,junk"] {
+            assert_eq!(numa_grid(bad), None, "{bad:?}");
+        }
+    }
 }

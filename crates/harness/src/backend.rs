@@ -140,7 +140,7 @@ impl Backend for NativeBackend {
     }
 }
 
-/// Runtime backend selector (the `--backend` flag).
+/// Runtime backend selector (the `backend=` key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     #[default]

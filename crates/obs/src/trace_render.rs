@@ -9,11 +9,9 @@
 //! 170                              ✕abort       ✕abort
 //! ```
 //!
-//! Used by the `figures` binary (`fig2 --render`, `fig3 --render`) and
-//! the `coherence_trace` example; the Chrome trace-event export
-//! ([`crate::chrome`]) and TSV are the machine-readable forms.
-//! (Moved here from `bench`, which re-exports it for one release, so
-//! figure rendering and the exporters live in one crate.)
+//! Used by Figure 2's swim lanes (`simctl fig fig2`); the Chrome
+//! trace-event export ([`crate::chrome`]) and TSV are the
+//! machine-readable forms.
 
 use coherence::TraceEvent;
 use std::collections::BTreeMap;

@@ -1,6 +1,6 @@
 //! Reproducer artifacts: a failing (shrunk) plan serialized as a small
 //! `key value` text file under `fuzz-artifacts/`, replayable exactly via
-//! `simctl fuzz --repro <file>`.
+//! `simctl fuzz repro=<file>`.
 //!
 //! The format stores every [`FuzzPlan`] field verbatim — replay builds
 //! the plan *from the stored fields*, never by re-deriving from the seed,
@@ -59,7 +59,7 @@ fn render_op(op: &Op) -> String {
 /// Renders the artifact text for a failing plan.
 pub fn render_artifact(plan: &FuzzPlan, violation: &Violation, witness: &[Event]) -> String {
     let mut s = String::new();
-    s.push_str("# simfuzz reproducer — replay with: simctl fuzz --repro <this file>\n");
+    s.push_str("# simfuzz reproducer — replay with: simctl fuzz repro=<this file>\n");
     s.push_str(&format!("# {violation}\n"));
     s.push_str(&format!("version {ARTIFACT_VERSION}\n"));
     s.push_str(&format!("violation {}\n", violation_token(violation)));

@@ -4,7 +4,7 @@
 //! linearizability checking, and shrinking of failures to replayable
 //! text artifacts — on either execution backend of the
 //! [`harness`] crate: the coherence simulator (default) or native
-//! atomics (`--backend native`).
+//! atomics (`simctl fuzz backend=native`).
 //!
 //! One **seed** determines one run completely ([`FuzzPlan::derive`]):
 //! the queue under test (rotating over every implementation in the
@@ -21,7 +21,7 @@
 //! while preserving the violation kind, minimizes the witness history
 //! event-by-event, and the campaign driver writes a
 //! `fuzz-artifacts/<queue>-seed<n>.repro` file that `simctl fuzz
-//! --repro` replays bit-exactly.
+//! repro=` replays bit-exactly.
 //!
 //! Campaigns fan their seeds across a [`runner`] job pool
 //! ([`CampaignConfig::jobs`]); since every plan is self-contained and

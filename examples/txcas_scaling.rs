@@ -57,16 +57,15 @@ fn point(threads: usize, ops: u64, use_txcas: bool) -> f64 {
     cycles_to_ns(total) / (ops * threads as u64) as f64
 }
 
+/// Measured operations per thread at every contention level.
+const OPS: u64 = 200;
+
 fn main() {
-    let ops: u64 = std::env::var("SBQ_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
     println!("threads\tFAA[ns/op]\tTxCAS[ns/op]");
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8, 16, 24, 32, 44] {
-        let faa = point(threads, ops, false);
-        let tx = point(threads, ops, true);
+        let faa = point(threads, OPS, false);
+        let tx = point(threads, OPS, true);
         println!("{threads}\t{faa:.0}\t{tx:.0}");
         rows.push((threads, faa, tx));
     }

@@ -1,11 +1,16 @@
-//! simctl — run one queue workload with custom parameters, printing the
-//! measurement as TSV. The interactive companion to the fixed `figures`
-//! drivers.
+//! simctl — the command line for every experiment in the workspace:
+//! single workload points, figure regeneration, traces, benchmarks,
+//! fuzz campaigns, load sweeps and component scenarios.
+//!
+//! Every subcommand shares one grammar: a few positional arguments
+//! followed by `key=value` pairs. A pair that is not `key=value`, a
+//! repeated key, a key the subcommand does not take, or a value that
+//! does not parse prints the usage text and exits 2.
 //!
 //! ```text
 //! simctl <queue> <workload> <threads> [key=value ...]
 //!
-//! queues:    sbq-htm | sbq-cas | bq | wf | cc | ms
+//! queues:    sbq-htm | sbq-cas | sbq-striped | bq | wf | cc | ms
 //! workloads: producer | consumer | mixed
 //! keys:      ops (per thread)        default 200
 //!            backend (sim|native)    default sim
@@ -44,6 +49,7 @@
 //! out      JSON output path                default BENCH_sim.json
 //! tsv-out  also write the TSV capture here (optional)
 //! baseline prior TSV capture to compare against (optional)
+//! baseline-label  label of the baseline in the JSON  default "baseline"
 //! native   also run the native wall-clock series (0/1, default 0)
 //! jobs     worker threads for the point pool; 0 = auto    default 1
 //! runner-trace  write the pool's utilization Chrome trace here (optional)
@@ -54,23 +60,29 @@
 //! `jobs` value; with `jobs > 1` the points contend for host cores, so
 //! `bench` defaults to the undisturbed serial measurement.
 //!
-//! `simctl fig <fig1|fig5|numa> [key=value ...]` regenerates one figure
-//! sweep as TSV (the CLI face of the `figures` binary's drivers, with
-//! explicit keys instead of environment variables). Keys:
+//! `simctl fig <name|all> [key=value ...]` regenerates one figure of the
+//! paper's evaluation as TSV, or every figure in order with `all` (see
+//! [`bench::fig::Figure`] for the names). Keys:
 //!
 //! ```text
-//! ops      measured ops per thread            default 120
-//! threads  comma-separated sweep (fig1/fig5)  default 1,2,4,...,44
+//! ops      measured ops per thread            default per figure
+//! threads  comma-separated thread sweep       default per figure
 //! grid     sockets x threads list (numa)      default 1x44,2x88,4x176
 //! jobs     sweep points in parallel; 0 = auto default 0
 //! out      also write the TSV here (optional)
 //! ```
 //!
+//! A figure takes only the keys it uses: the trace reproductions (fig2,
+//! fig3) take neither `ops` nor `threads`, ablate-fix and numa take no
+//! `threads`, and only numa takes `grid`. Speedups, ablate-delay and
+//! ablate-basket run at one width, the last entry of `threads`. `all`
+//! takes every key and hands each figure the ones it uses.
+//!
 //! `fig numa` emits two tables over the grid: the Figure-1 FAA-vs-TxCAS
 //! crossover on multi-socket machines (with cross-socket hop counts per
 //! run) and the NUMA scenario family (socket-local / cross-split /
-//! skewed-hops), SBQ-HTM vs SBQ-CAS with the hop split. The output is a
-//! pure function of the keys — byte-identical for any `jobs`.
+//! skewed-hops), SBQ-HTM vs SBQ-CAS with the hop split. Every figure is
+//! a pure function of the keys — byte-identical for any `jobs`.
 //!
 //! `simctl trace <queue> <workload> <threads> [key=value ...]` runs the
 //! workload once with observability attached and writes a Chrome
@@ -97,30 +109,30 @@
 //! `1 - max-regress/100` (default 15%) of its committed
 //! `sim_ops_per_sec`, exit 1 on regression.
 //!
-//! `simctl fuzz [options]` runs a [`simfuzz`] campaign — randomized
-//! workloads with fault injection, every history linearizability-checked;
-//! failures are shrunk and written as replayable artifacts. Options
-//! (either `--key value` or `key=value`):
+//! `simctl fuzz [key=value ...]` runs a [`simfuzz`] campaign —
+//! randomized workloads with fault injection, every history
+//! linearizability-checked; failures are shrunk and written as
+//! replayable artifacts. Keys:
 //!
 //! ```text
-//! --seeds N        consecutive seeds to run     default 64
-//! --start N        first seed                   default 0
-//! --queue K        pin one queue (else rotate over all implementations)
-//! --backend B      sim (default) or native; native runs each plan on
-//!                  real threads AND on the simulator, cross-checking
-//!                  linearizability and the drained dequeue multisets
-//! --artifacts D    reproducer output directory  default fuzz-artifacts
-//! --jobs N         worker threads for the seed pool; 0 = auto
-//!                  (SBQ_JOBS or the host parallelism)   default auto
-//! --runner-trace F write the pool's utilization Chrome trace to F
-//! --repro FILE     replay one artifact instead of running a campaign
+//! seeds         consecutive seeds to run     default 64
+//! start         first seed                   default 0
+//! queue         pin one queue (else rotate over all implementations)
+//! backend       sim (default) or native; native runs each plan on
+//!               real threads AND on the simulator, cross-checking
+//!               linearizability and the drained dequeue multisets
+//! artifacts     reproducer output directory  default fuzz-artifacts
+//! jobs          worker threads for the seed pool; 0 = auto
+//!               (SBQ_JOBS or the host parallelism)   default auto
+//! runner-trace  write the pool's utilization Chrome trace here
+//! repro         replay one artifact instead of running a campaign
 //! ```
 //!
 //! Seeds run as independent jobs on a [`runner`] pool and merge in seed
 //! order, so the report, artifact files, and exit status are identical
-//! for any `--jobs` value — only the wall time changes.
+//! for any `jobs` value — only the wall time changes.
 //!
-//! Exit status: campaigns exit 1 if any seed failed; `--repro` exits 1
+//! Exit status: campaigns exit 1 if any seed failed; `repro=` exits 1
 //! if the artifact no longer reproduces its recorded violation kind.
 //! Each shrunk failure also gets a `<artifact>.trace` Chrome trace of
 //! the violating run, written beside the `.repro`.
@@ -136,9 +148,8 @@
 //! ```text
 //! backend  sim (default) or native
 //! pattern  poisson | bursty:ON:OFF | diurnal:LOW:HIGH:PERIOD   default poisson
-//! rate     one offered rate, rps (repeatable)
-//! rates    comma-separated rate ladder, rps
-//!          (no rate/rates: auto ladder at capacity × 1/4..2)
+//! rates    comma-separated offered rates, rps (one value probes one rate;
+//!          default: auto ladder at capacity × 1/4..2)
 //! requests total requests per point           default 256
 //! sources / workers / egress   stage threads  default 1 / 2 / 1
 //! service  mean service time, cycles          default 1500
@@ -165,8 +176,8 @@
 //! timer-paced consumer, or a DMA-style bulk enqueuer on a divided
 //! clock. The run records a linearizability-checked history and prints
 //! a deterministic key=value summary — byte-identical across repeats of
-//! the same spec, which is what the `component-smoke` CI job diffs.
-//! Exit 1 on a linearizability violation. Keys:
+//! the same spec, which is what the CI smoke job diffs. Exit 1 on a
+//! linearizability violation. Keys:
 //!
 //! ```text
 //! queue    queue under test                   default sbq-htm
@@ -181,11 +192,14 @@
 //! trace-out  write a validated Chrome trace here (optional)
 //! ```
 
+use bench::fig::Figure;
 use bench::workload::{
     paper_workload, run_workload, run_workload_native, trace_workload, Workload, WorkloadKind,
 };
-use harness::{run_scenario, ActorFamily, BackendKind, QueueKind, QueueParams, ScenarioSpec};
+use harness::{run_scenario, ActorFamily, BackendKind, QueueKind, ScenarioSpec};
 use loadgen::{ArrivalPattern, LoadPlan, SweepSpec};
+use std::collections::BTreeMap;
+use std::str::FromStr;
 
 const HELP: &str = "simctl — run queue experiments from the command line
 
@@ -194,9 +208,10 @@ usage:
       one closed-loop workload point (queues: sbq-htm sbq-cas sbq-striped
       bq wf cc ms; workloads: producer consumer mixed; keys: ops backend
       hop hop-cross delay basket fix seed sockets policy)
-  simctl fig <fig1|fig5|numa> [ops= threads= grid= jobs= out=]
-      regenerate one figure sweep as TSV; `numa` sweeps a sockets x
-      threads grid (default 1x44,2x88,4x176) with cross-socket hop counts
+  simctl fig <name|all> [ops= threads= grid= jobs= out=]
+      regenerate a figure as TSV (fig1 fig2 fig3 fig5 fig6 fig7 speedups
+      ablate-delay ablate-fix ablate-basket ablate-deq numa, or all);
+      `numa` sweeps a sockets x threads grid (default 1x44,2x88,4x176)
   simctl trace <queue> <workload> <threads> [key=value ...] [out=PATH] [tsv-out=PATH]
       one observed run exported as a Chrome trace-event JSON document
   simctl trace-validate <file.json>
@@ -205,11 +220,11 @@ usage:
       wall-clock scheduler benchmark; writes BENCH_sim.json
   simctl bench-check <file.json> [against=COMMITTED.json] [max-regress=PCT]
       validate a bench document; with against=, gate on perf regressions
-  simctl fuzz [--seeds N] [--start N] [--queue K] [--backend sim|native] [--artifacts DIR] [--jobs N] [--runner-trace FILE] [--repro FILE]
+  simctl fuzz [seeds= start= queue= backend=sim|native artifacts= jobs= runner-trace= repro=]
       randomized linearizability fuzzing with shrinking + replay artifacts
   simctl load <queue> [key=value ...]
       open-loop load sweep with knee detection (keys: backend pattern
-      rate rates requests sources workers egress service jitter poll seed
+      rates requests sources workers egress service jitter poll seed
       slo-p99 depth-slo jobs out tsv-out)
   simctl load-check <file.json>
       validate an sbq-loadgen-v1 document (exit 1 if invalid)
@@ -219,11 +234,92 @@ usage:
   simctl help | --help | -h
       this text
 
-See the module docs in src/bin/simctl.rs for every key's meaning.";
+Arguments are positional first, then key=value pairs; a malformed,
+repeated or unknown key exits 2. See the module docs in
+src/bin/simctl.rs for every key's meaning.";
+
+/// An argument error: `main` prints it with the usage text and exits 2.
+type Res<T> = Result<T, String>;
 
 fn usage() -> ! {
     eprintln!("{HELP}");
     std::process::exit(2);
+}
+
+/// The `key=value` arguments of one subcommand. Typed getters take the
+/// keys they know; [`Keys::finish`] rejects whatever is left over.
+struct Keys(BTreeMap<String, String>);
+
+impl Keys {
+    fn parse(args: &[String]) -> Res<Keys> {
+        let mut map = BTreeMap::new();
+        for arg in args {
+            let (k, v) = arg
+                .split_once('=')
+                .ok_or_else(|| format!("expected key=value, got `{arg}`"))?;
+            if map.insert(k.to_string(), v.to_string()).is_some() {
+                return Err(format!("duplicate key `{k}`"));
+            }
+        }
+        Ok(Keys(map))
+    }
+
+    fn str(&mut self, key: &str) -> Option<String> {
+        self.0.remove(key)
+    }
+
+    /// Takes `key` and converts its value with `parse`.
+    fn get<T>(&mut self, key: &str, parse: impl FnOnce(&str) -> Option<T>) -> Res<Option<T>> {
+        self.str(key)
+            .map(|v| parse(&v).ok_or_else(|| format!("bad value `{v}` for `{key}`")))
+            .transpose()
+    }
+
+    fn num<T: FromStr>(&mut self, key: &str) -> Res<Option<T>> {
+        self.get(key, |v| v.parse().ok())
+    }
+
+    /// A comma-separated list of numbers.
+    fn list<T: FromStr>(&mut self, key: &str) -> Res<Option<Vec<T>>> {
+        self.get(key, |v| {
+            v.split(',').map(|x| x.trim().parse().ok()).collect()
+        })
+    }
+
+    /// A 0/1 switch (any nonzero number is on).
+    fn flag(&mut self, key: &str) -> Res<Option<bool>> {
+        self.get(key, |v| v.parse::<u64>().ok().map(|n| n != 0))
+    }
+
+    fn finish(self) -> Res<()> {
+        match self.0.into_keys().next() {
+            Some(k) => Err(format!("unknown key `{k}`")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Splits the `n` positional arguments named by `what` off the front of
+/// `args` and parses the rest as keys.
+fn split_args<'a>(args: &'a [String], n: usize, what: &str) -> Res<(&'a [String], Keys)> {
+    if args.len() < n {
+        return Err(format!("expected {what}"));
+    }
+    let (pos, rest) = args.split_at(n);
+    Ok((pos, Keys::parse(rest)?))
+}
+
+/// `jobs=0` means auto: `SBQ_JOBS` or the host's parallelism.
+fn jobs_or_auto(jobs: usize) -> usize {
+    if jobs == 0 {
+        runner::default_jobs()
+    } else {
+        jobs
+    }
+}
+
+fn write_file(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("writing {path}: {e}"));
 }
 
 /// One parsed `<queue> <workload> <threads> [key=value ...]` run request.
@@ -234,159 +330,120 @@ struct RunSpec {
     w: Workload,
 }
 
-/// Parses the shared single-run grammar. Keys the caller recognizes are
-/// routed through `extra` first (return `true` to consume).
-fn parse_run_spec(args: &[String], mut extra: impl FnMut(&str, &str) -> bool) -> RunSpec {
-    if args.len() < 3 {
-        usage();
-    }
-    let Some(queue) = QueueKind::parse(&args[0]) else {
-        eprintln!("unknown queue `{}`", args[0]);
-        usage();
-    };
-    let kind = match args[1].as_str() {
+/// Parses the shared single-run grammar, returning the keys it did not
+/// take for the caller to consume and [`Keys::finish`].
+fn parse_run_spec(args: &[String]) -> Res<(RunSpec, Keys)> {
+    let (pos, mut keys) = split_args(args, 3, "<queue> <workload> <threads>")?;
+    let queue = QueueKind::parse(&pos[0]).ok_or_else(|| format!("unknown queue `{}`", pos[0]))?;
+    let kind = match pos[1].as_str() {
         "producer" | "producer-only" | "enq" => WorkloadKind::ProducerOnly,
         "consumer" | "consumer-only" | "deq" => WorkloadKind::ConsumerOnly,
         "mixed" => WorkloadKind::Mixed,
-        other => {
-            eprintln!("unknown workload `{other}`");
-            usage();
-        }
+        other => return Err(format!("unknown workload `{other}`")),
     };
-    let threads: usize = args[2].parse().unwrap_or_else(|_| usage());
+    let threads: usize = pos[2]
+        .parse()
+        .map_err(|_| format!("bad thread count `{}`", pos[2]))?;
 
-    let mut ops = 200u64;
-    let mut backend = BackendKind::Sim;
-    let mut sockets: Option<usize> = None;
-    let mut policy: Option<coherence::HomePolicy> = None;
-    let mut w = paper_workload(kind, threads, ops);
-    for kv in &args[3..] {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        if extra(k, v) {
-            continue;
-        }
-        if k == "backend" {
-            backend = BackendKind::parse(v).unwrap_or_else(|| {
-                eprintln!("unknown backend `{v}`");
-                usage();
-            });
-            continue;
-        }
-        if k == "policy" {
-            policy = Some(match v {
-                "fixed" => coherence::HomePolicy::Fixed,
-                "interleave" => coherence::HomePolicy::Interleave,
-                "first-touch" | "firsttouch" => coherence::HomePolicy::FirstTouch,
-                other => {
-                    eprintln!("unknown home policy `{other}`");
-                    usage();
-                }
-            });
-            continue;
-        }
-        let n: u64 = v.parse().unwrap_or_else(|_| usage());
-        match k {
-            "ops" => ops = n,
-            "hop" => w.machine.hop_intra = n,
-            "hop-cross" => w.machine.hop_cross = n,
-            "delay" => {
-                w.qp.txcas.intra_delay = n;
-                w.qp.delay_cycles = n;
-            }
-            "basket" => {
-                w.qp.basket_capacity = n as usize;
-                w.qp = QueueParams {
-                    enqueuers: w.qp.enqueuers.min(n as usize),
-                    ..w.qp
-                };
-            }
-            "fix" => w.machine.microarch_fix = n != 0,
-            "seed" => w.machine.seed = n,
-            "sockets" => sockets = Some((n as usize).max(1)),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
+    let mut w = paper_workload(kind, threads, keys.num("ops")?.unwrap_or(200));
+    let backend = keys
+        .get("backend", BackendKind::parse)?
+        .unwrap_or(BackendKind::Sim);
+    w.machine.hop_intra = keys.num("hop")?.unwrap_or(w.machine.hop_intra);
+    w.machine.hop_cross = keys.num("hop-cross")?.unwrap_or(w.machine.hop_cross);
+    if let Some(delay) = keys.num("delay")? {
+        w.qp.txcas.intra_delay = delay;
+        w.qp.delay_cycles = delay;
     }
-    // Re-derive ops-dependent fields with the final value.
-    let mut w2 = paper_workload(kind, threads, ops);
-    w2.machine = w.machine.clone();
-    w2.qp = w.qp;
+    if let Some(basket) = keys.num("basket")? {
+        w.qp.basket_capacity = basket;
+        w.qp.enqueuers = w.qp.enqueuers.min(basket);
+    }
+    w.machine.microarch_fix = keys.flag("fix")?.unwrap_or(w.machine.microarch_fix);
+    w.machine.seed = keys.num("seed")?.unwrap_or(w.machine.seed);
+    let mut policy = keys.get("policy", |v| match v {
+        "fixed" => Some(coherence::HomePolicy::Fixed),
+        "interleave" => Some(coherence::HomePolicy::Interleave),
+        "first-touch" | "firsttouch" => Some(coherence::HomePolicy::FirstTouch),
+        _ => None,
+    })?;
     // Topology overrides last: spread the machine's cores evenly over
     // the requested socket count and, unless a policy was pinned,
     // distribute directory homes across them.
-    if let Some(s) = sockets {
-        w2.machine.cores_per_socket = w2.machine.cores.div_ceil(s).max(1);
-        if s > 1 && policy.is_none() {
+    if let Some(sockets) = keys.num::<usize>("sockets")? {
+        let sockets = sockets.max(1);
+        w.machine.cores_per_socket = w.machine.cores.div_ceil(sockets).max(1);
+        if sockets > 1 && policy.is_none() {
             policy = Some(coherence::HomePolicy::Interleave);
         }
     }
     if let Some(p) = policy {
-        w2.machine.home_policy = p;
+        w.machine.home_policy = p;
     }
-    RunSpec {
+    let spec = RunSpec {
         queue,
         kind,
         backend,
-        w: w2,
-    }
+        w,
+    };
+    Ok((spec, keys))
 }
 
-fn fuzz_main(args: &[String]) {
-    let mut cfg = simfuzz::CampaignConfig {
-        jobs: 0, // auto: SBQ_JOBS or the host's available parallelism
-        ..Default::default()
+fn run_main(args: &[String]) -> Res<()> {
+    let (spec, keys) = parse_run_spec(args)?;
+    keys.finish()?;
+    let m = match spec.backend {
+        BackendKind::Sim => run_workload(spec.queue, &spec.w),
+        BackendKind::Native => run_workload_native(spec.queue, &spec.w),
     };
-    let mut repro: Option<String> = None;
-    let mut runner_trace: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        // Accept both `--key value` and `key=value`.
-        let (k, v) = if let Some((k, v)) = args[i].split_once('=') {
-            (k.trim_start_matches("--"), v.to_string())
-        } else {
-            let k = args[i].trim_start_matches("--");
-            i += 1;
-            let Some(v) = args.get(i) else {
-                eprintln!("--{k} needs a value");
-                usage();
-            };
-            (k, v.clone())
-        };
-        match k {
-            "seeds" => cfg.seeds = v.parse().unwrap_or_else(|_| usage()),
-            "start" | "start-seed" => cfg.start_seed = v.parse().unwrap_or_else(|_| usage()),
-            "queue" => {
-                cfg.queue = Some(QueueKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown queue `{v}`");
-                    usage();
-                }))
-            }
-            "backend" => {
-                cfg.backend = BackendKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown backend `{v}`");
-                    usage();
-                })
-            }
-            "artifacts" => cfg.artifacts_dir = Some(v.into()),
-            "jobs" => cfg.jobs = v.parse().unwrap_or_else(|_| usage()),
-            "runner-trace" => runner_trace = Some(v),
-            "repro" => repro = Some(v),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
-        i += 1;
-    }
+
+    println!("queue\tworkload\tthreads\tlatency_ns\tthroughput_mops\tduration_ns_per_op\ttx_commits\ttx_aborts\ttx_aborts_interrupt\ttripped\tp50_ns\tp99_ns\tmax_ns\thops_intra\thops_cross\tdir_cross");
+    println!(
+        "{}\t{:?}\t{}\t{:.1}\t{:.3}\t{:.1}\t{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}\t{}\t{}\t{}",
+        m.queue,
+        spec.kind,
+        m.threads,
+        m.latency_ns,
+        m.throughput_mops,
+        m.duration_ns_per_op,
+        m.tx_commits,
+        m.tx_aborts,
+        m.tx_aborts_interrupt,
+        m.tripped_writers,
+        m.p50_ns,
+        m.p99_ns,
+        m.max_ns,
+        m.hops_intra,
+        m.hops_cross,
+        m.dir_hops_cross
+    );
+    Ok(())
+}
+
+fn fuzz_main(args: &[String]) -> Res<()> {
+    let mut keys = Keys::parse(args)?;
+    let defaults = simfuzz::CampaignConfig::default();
+    let cfg = simfuzz::CampaignConfig {
+        seeds: keys.num("seeds")?.unwrap_or(defaults.seeds),
+        start_seed: keys.num("start")?.unwrap_or(defaults.start_seed),
+        queue: keys.get("queue", QueueKind::parse)?,
+        backend: keys
+            .get("backend", BackendKind::parse)?
+            .unwrap_or(defaults.backend),
+        artifacts_dir: keys
+            .str("artifacts")
+            .map(Into::into)
+            .or(defaults.artifacts_dir),
+        // Auto by default: SBQ_JOBS or the host's available parallelism.
+        jobs: keys.num("jobs")?.unwrap_or(0),
+    };
+    let runner_trace = keys.str("runner-trace");
+    let repro = keys.str("repro");
+    keys.finish()?;
 
     if let Some(path) = repro {
         let r = simfuzz::reproduce(std::path::Path::new(&path)).unwrap_or_else(|e| {
-            eprintln!("simctl fuzz --repro: {e}");
+            eprintln!("simctl fuzz repro={path}: {e}");
             std::process::exit(2);
         });
         match &r.violation {
@@ -403,7 +460,7 @@ fn fuzz_main(args: &[String]) {
             );
             std::process::exit(1);
         }
-        return;
+        return Ok(());
     }
 
     let report = simfuzz::run_campaign(&cfg, |seed, queue, failure| {
@@ -444,56 +501,33 @@ fn fuzz_main(args: &[String]) {
     if let Some(pool) = &report.pool {
         eprintln!("{}", pool.summary());
         if let Some(path) = runner_trace {
-            std::fs::write(&path, pool.utilization_trace("simctl fuzz"))
-                .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            write_file(&path, &pool.utilization_trace("simctl fuzz"));
             eprintln!("wrote runner utilization trace to {path}");
         }
     }
     if !report.failures.is_empty() {
         std::process::exit(1);
     }
+    Ok(())
 }
 
-fn bench_main(args: &[String]) {
-    let mut scale = 1u64;
-    let mut reps = 3u32;
-    let mut label = "current".to_string();
-    let mut out = "BENCH_sim.json".to_string();
-    let mut tsv_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut baseline_label = "baseline".to_string();
-    let mut native = false;
+fn bench_main(args: &[String]) -> Res<()> {
+    let mut keys = Keys::parse(args)?;
+    let scale = keys.num("scale")?.unwrap_or(1);
+    let reps = keys.num("reps")?.unwrap_or(3);
+    let label = keys.str("label").unwrap_or_else(|| "current".into());
+    let out = keys.str("out").unwrap_or_else(|| "BENCH_sim.json".into());
+    let tsv_out = keys.str("tsv-out");
+    let baseline = keys.str("baseline");
+    let baseline_label = keys
+        .str("baseline-label")
+        .unwrap_or_else(|| "baseline".into());
+    let native = keys.flag("native")?.unwrap_or(false);
     // Serial by default: the benchmark measures wall time, and parallel
     // points perturb each other. `jobs=0` opts into auto.
-    let mut jobs = 1usize;
-    let mut runner_trace: Option<String> = None;
-    for kv in args {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "scale" => scale = v.parse().unwrap_or_else(|_| usage()),
-            "reps" => reps = v.parse().unwrap_or_else(|_| usage()),
-            "label" => label = v.to_string(),
-            "out" => out = v.to_string(),
-            "tsv-out" => tsv_out = Some(v.to_string()),
-            "baseline" => baseline = Some(v.to_string()),
-            "baseline-label" => baseline_label = v.to_string(),
-            "native" => native = v != "0",
-            "jobs" => jobs = v.parse().unwrap_or_else(|_| usage()),
-            "runner-trace" => runner_trace = Some(v.to_string()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
-    }
-    let jobs = if jobs == 0 {
-        runner::default_jobs()
-    } else {
-        jobs
-    };
+    let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(1));
+    let runner_trace = keys.str("runner-trace");
+    keys.finish()?;
     // Validate the baseline before spending time on the runs.
     let base_points = baseline.map(|path| {
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -514,100 +548,71 @@ fn bench_main(args: &[String]) {
     print!("{}", bench::wallbench::to_tsv(&points));
     eprintln!("{}", pool.summary());
     if let Some(path) = runner_trace {
-        std::fs::write(&path, pool.utilization_trace("simctl bench"))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &pool.utilization_trace("simctl bench"));
         eprintln!("wrote runner utilization trace to {path}");
     }
     if let Some(path) = tsv_out {
-        std::fs::write(&path, bench::wallbench::to_tsv(&points))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &bench::wallbench::to_tsv(&points));
     }
     let json = bench::wallbench::to_json(
         &label,
         &points,
         base_points.as_deref().map(|b| (baseline_label.as_str(), b)),
     );
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    write_file(&out, &json);
     eprintln!("wrote {out}");
+    Ok(())
 }
 
-/// `simctl fig <name> [key=value ...]`: regenerate one figure sweep as
-/// TSV with explicit keys (the `figures` binary's env-knob drivers,
-/// CLI-shaped). The output is a pure function of the keys.
-fn fig_main(args: &[String]) {
-    let Some((name, rest)) = args.split_first() else {
-        eprintln!("fig needs a figure: fig1, fig5, or numa");
-        usage();
+/// `simctl fig <name|all> [key=value ...]`: regenerate one figure, or
+/// every figure, as TSV. The output is a pure function of the keys.
+fn fig_main(args: &[String]) -> Res<()> {
+    let (pos, mut keys) = split_args(args, 1, "a figure name or `all`")?;
+    let fig = match pos[0].as_str() {
+        "all" => None,
+        name => Some(Figure::parse(name).ok_or_else(|| format!("unknown figure `{name}`"))?),
     };
-    let mut ops = 120u64;
-    let mut jobs = 0usize;
-    let mut threads: Vec<usize> = vec![1, 2, 4, 8, 12, 16, 22, 28, 36, 44];
-    let mut grid = bench::fig::NUMA_GRID.to_vec();
-    let mut out: Option<String> = None;
-    for kv in rest {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "ops" => ops = v.parse().unwrap_or_else(|_| usage()),
-            "jobs" => jobs = v.parse().unwrap_or_else(|_| usage()),
-            "threads" => {
-                threads = v
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-            }
-            "grid" => grid = bench::fig::numa_grid(v),
-            "out" => out = Some(v.to_string()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
-    }
-    let jobs = if jobs == 0 {
-        runner::default_jobs()
-    } else {
-        jobs
+    // A figure takes only the keys it uses; `all` takes every key.
+    let ops = match fig {
+        Some(f) if f.default_ops().is_none() => None,
+        _ => keys.num("ops")?,
     };
-    let text = match name.as_str() {
-        "fig1" => bench::fig::fig1_text(ops, &threads, jobs),
-        "fig5" => bench::fig::fig5_text(ops, &threads, jobs),
-        "numa" | "fig-numa" => bench::fig::fig_numa_text(ops, &grid, jobs),
-        other => {
-            eprintln!("unknown figure `{other}` (expected fig1, fig5, or numa)");
-            usage();
-        }
+    let threads: Option<Vec<usize>> = match fig {
+        Some(f) if f.default_threads().is_none() => None,
+        _ => keys.list("threads")?,
+    };
+    let grid = match fig {
+        Some(f) if f != Figure::Numa => None,
+        _ => keys.get("grid", bench::fig::numa_grid)?,
+    };
+    let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(0));
+    let out = keys.str("out");
+    keys.finish()?;
+
+    let (threads, grid) = (threads.as_deref(), grid.as_deref());
+    let text = match fig {
+        Some(f) => f.text(ops, threads, grid, jobs),
+        None => bench::fig::all_text(ops, threads, grid, jobs),
     };
     print!("{text}");
     if let Some(path) = out {
-        std::fs::write(&path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &text);
         eprintln!("wrote {path}");
     }
+    Ok(())
 }
 
-fn trace_main(args: &[String]) {
-    let mut out: Option<String> = None;
-    let mut tsv_out: Option<String> = None;
-    let spec = parse_run_spec(args, |k, v| match k {
-        "out" => {
-            out = Some(v.to_string());
-            true
-        }
-        "tsv-out" => {
-            tsv_out = Some(v.to_string());
-            true
-        }
-        _ => false,
-    });
-    let out = out.unwrap_or_else(|| {
+fn trace_main(args: &[String]) -> Res<()> {
+    let (spec, mut keys) = parse_run_spec(args)?;
+    let out = keys.str("out").unwrap_or_else(|| {
         format!(
             "TRACE_{}_{}.json",
             spec.queue.name().to_lowercase().replace('-', ""),
             spec.backend.name()
         )
     });
+    let tsv_out = keys.str("tsv-out");
+    keys.finish()?;
     let traced = trace_workload(spec.queue, &spec.w, spec.backend);
     // Self-check before writing: the exporter and the validator must
     // agree on the schema or the artifact is useless downstream.
@@ -615,9 +620,9 @@ fn trace_main(args: &[String]) {
         eprintln!("internal error: exported trace fails validation: {e}");
         std::process::exit(1);
     });
-    std::fs::write(&out, &traced.chrome_json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    write_file(&out, &traced.chrome_json);
     if let Some(path) = tsv_out {
-        std::fs::write(&path, &traced.tsv).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &traced.tsv);
     }
     let m = &traced.measurement;
     eprintln!(
@@ -632,14 +637,23 @@ fn trace_main(args: &[String]) {
         m.p99_ns,
         m.max_ns
     );
+    Ok(())
 }
 
-fn trace_validate_main(args: &[String]) {
-    let [path] = args else { usage() };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+/// Parses `<file>` with no keys and reads the file (exit 2 if unreadable).
+fn read_file_arg(args: &[String]) -> Res<(String, String)> {
+    let (pos, keys) = split_args(args, 1, "<file>")?;
+    keys.finish()?;
+    let path = pos[0].clone();
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
+    Ok((path, text))
+}
+
+fn trace_validate_main(args: &[String]) -> Res<()> {
+    let (path, text) = read_file_arg(args)?;
     match obs::validate(&text) {
         Ok(sum) => {
             println!(
@@ -656,6 +670,7 @@ fn trace_validate_main(args: &[String]) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
 /// Loads a `BENCH_sim.json`-shaped document and returns its points
@@ -698,26 +713,12 @@ fn point_field(path: &str, p: &obs::json::Value, i: usize, name: &str, key: &str
 /// With `against=COMMITTED.json`, additionally acts as the performance
 /// gate: every point present in both documents must sustain at least
 /// `(1 - max-regress/100)` of the committed `sim_ops_per_sec`.
-fn bench_check_main(args: &[String]) {
-    let Some((path, rest)) = args.split_first() else {
-        usage()
-    };
-    let mut against: Option<String> = None;
-    let mut max_regress = 15.0f64;
-    for kv in rest {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "against" => against = Some(v.to_string()),
-            "max-regress" => max_regress = v.parse().unwrap_or_else(|_| usage()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
-    }
+fn bench_check_main(args: &[String]) -> Res<()> {
+    let (pos, mut keys) = split_args(args, 1, "<file.json>")?;
+    let path = &pos[0];
+    let against = keys.str("against");
+    let max_regress: f64 = keys.num("max-regress")?.unwrap_or(15.0);
+    keys.finish()?;
     let points = load_bench_points(path);
     for (i, p) in points.iter().enumerate() {
         let name = p
@@ -738,7 +739,9 @@ fn bench_check_main(args: &[String]) {
         "{path}: ok — {} point(s), p50_ns <= p99_ns <= max_ns on all",
         points.len()
     );
-    let Some(against) = against else { return };
+    let Some(against) = against else {
+        return Ok(());
+    };
     let committed = load_bench_points(&against);
     let floor = 1.0 - max_regress / 100.0;
     let mut compared = 0usize;
@@ -773,6 +776,7 @@ fn bench_check_main(args: &[String]) {
         std::process::exit(1);
     }
     println!("perf gate: ok — {compared} point(s) within {max_regress}% of {against}");
+    Ok(())
 }
 
 /// Parses the `pattern=` token: `poisson`, `bursty:ON:OFF`, or
@@ -800,80 +804,34 @@ fn parse_pattern(v: &str) -> Option<ArrivalPattern> {
     }
 }
 
-fn load_main(args: &[String]) {
-    let Some((queue_arg, rest)) = args.split_first() else {
-        usage()
+fn load_main(args: &[String]) -> Res<()> {
+    let (pos, mut keys) = split_args(args, 1, "<queue>")?;
+    let queue = QueueKind::parse(&pos[0]).ok_or_else(|| format!("unknown queue `{}`", pos[0]))?;
+    let d = LoadPlan::default();
+    let plan = LoadPlan {
+        pattern: keys.get("pattern", parse_pattern)?.unwrap_or(d.pattern),
+        requests: keys.num("requests")?.unwrap_or(d.requests),
+        sources: keys.num("sources")?.unwrap_or(d.sources),
+        workers: keys.num("workers")?.unwrap_or(d.workers),
+        egress: keys.num("egress")?.unwrap_or(d.egress),
+        service_cycles: keys.num("service")?.unwrap_or(d.service_cycles),
+        service_jitter_pct: keys.num("jitter")?.unwrap_or(d.service_jitter_pct),
+        poll_cycles: keys.num("poll")?.unwrap_or(d.poll_cycles),
+        seed: keys.num("seed")?.unwrap_or(d.seed),
+        ..d
     };
-    let Some(queue) = QueueKind::parse(queue_arg) else {
-        eprintln!("unknown queue `{queue_arg}`");
-        usage();
-    };
-    let mut plan = LoadPlan::default();
-    let mut backend = BackendKind::Sim;
-    let mut rates: Vec<u64> = Vec::new();
-    let mut slo_p99_ns = 0.0f64;
-    let mut depth_slo = 0u64;
-    let mut jobs = 1usize;
-    let mut out: Option<String> = None;
-    let mut tsv_out: Option<String> = None;
-    for kv in rest {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "backend" => {
-                backend = BackendKind::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown backend `{v}`");
-                    usage();
-                })
-            }
-            "pattern" => {
-                plan.pattern = parse_pattern(v).unwrap_or_else(|| {
-                    eprintln!(
-                        "bad pattern `{v}` (want poisson, bursty:ON:OFF, \
-                         or diurnal:LOW:HIGH:PERIOD)"
-                    );
-                    usage();
-                })
-            }
-            "rate" => rates.push(v.parse().unwrap_or_else(|_| usage())),
-            "rates" => {
-                for r in v.split(',') {
-                    rates.push(r.trim().parse().unwrap_or_else(|_| usage()));
-                }
-            }
-            "requests" => plan.requests = v.parse().unwrap_or_else(|_| usage()),
-            "sources" => plan.sources = v.parse().unwrap_or_else(|_| usage()),
-            "workers" => plan.workers = v.parse().unwrap_or_else(|_| usage()),
-            "egress" => plan.egress = v.parse().unwrap_or_else(|_| usage()),
-            "service" => plan.service_cycles = v.parse().unwrap_or_else(|_| usage()),
-            "jitter" => plan.service_jitter_pct = v.parse().unwrap_or_else(|_| usage()),
-            "poll" => plan.poll_cycles = v.parse().unwrap_or_else(|_| usage()),
-            "seed" => plan.seed = v.parse().unwrap_or_else(|_| usage()),
-            "slo-p99" => slo_p99_ns = v.parse().unwrap_or_else(|_| usage()),
-            "depth-slo" => depth_slo = v.parse().unwrap_or_else(|_| usage()),
-            "jobs" => jobs = v.parse().unwrap_or_else(|_| usage()),
-            "out" => out = Some(v.to_string()),
-            "tsv-out" => tsv_out = Some(v.to_string()),
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
-    }
-    if let Err(e) = plan.validate() {
-        eprintln!("invalid plan: {e}");
-        usage();
-    }
-    if rates.is_empty() {
-        rates = loadgen::default_rates(&plan);
-    }
-    let jobs = if jobs == 0 {
-        runner::default_jobs()
-    } else {
-        jobs
-    };
+    let backend = keys
+        .get("backend", BackendKind::parse)?
+        .unwrap_or(BackendKind::Sim);
+    let rates = keys.list("rates")?;
+    let slo_p99_ns = keys.num("slo-p99")?.unwrap_or(0.0);
+    let depth_slo = keys.num("depth-slo")?.unwrap_or(0);
+    let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(1));
+    let out = keys.str("out");
+    let tsv_out = keys.str("tsv-out");
+    keys.finish()?;
+    plan.validate().map_err(|e| format!("invalid plan: {e}"))?;
+    let rates = rates.unwrap_or_else(|| loadgen::default_rates(&plan));
     let spec = SweepSpec {
         plan,
         queue,
@@ -901,25 +859,20 @@ fn load_main(args: &[String]) {
         ),
     }
     if let Some(path) = tsv_out {
-        std::fs::write(&path, loadgen::to_tsv(&r))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &loadgen::to_tsv(&r));
     }
     if let Some(path) = out {
-        std::fs::write(&path, loadgen::to_json(&r))
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &loadgen::to_json(&r));
         eprintln!("wrote {path}");
     }
+    Ok(())
 }
 
 /// Validates an `sbq-loadgen-v1` document: schema tag, non-empty points
 /// with ordered e2e percentiles and full completion, and a knee (when
 /// present) that references an actually probed rate.
-fn load_check_main(args: &[String]) {
-    let [path] = args else { usage() };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
+fn load_check_main(args: &[String]) -> Res<()> {
+    let (path, text) = read_file_arg(args)?;
     let doc = obs::json::parse(&text).unwrap_or_else(|e| {
         eprintln!("{path}: not JSON — {e}");
         std::process::exit(1);
@@ -1004,67 +957,41 @@ fn load_check_main(args: &[String]) {
             None => unreachable!(),
         }
     );
+    Ok(())
 }
 
 /// `simctl scenario <family> [key=value ...]`: one component-actor
 /// scenario run end to end — stage the machine with its actor, drive the
 /// queue, check linearizability, and print the deterministic summary.
-fn scenario_main(args: &[String]) {
-    let Some(first) = args.first() else {
-        eprintln!("scenario needs a family: preempt, timer, or dma");
-        usage();
+fn scenario_main(args: &[String]) -> Res<()> {
+    let (pos, mut keys) = split_args(args, 1, "a scenario family: preempt, timer, or dma")?;
+    let family = ActorFamily::parse(&pos[0]).ok_or_else(|| {
+        format!(
+            "unknown scenario family `{}` (expected preempt, timer, or dma)",
+            pos[0]
+        )
+    })?;
+    let d = ScenarioSpec::smoke(family);
+    let mut spec = ScenarioSpec {
+        queue: keys.get("queue", QueueKind::parse)?.unwrap_or(d.queue),
+        workers: keys.num("workers")?.unwrap_or(d.workers),
+        ops: keys.num("ops")?.unwrap_or(d.ops),
+        period: keys.num("period")?.unwrap_or(d.period),
+        cost: keys.num("cost")?.unwrap_or(d.cost),
+        batch: keys.num("batch")?.unwrap_or(d.batch),
+        divider: keys.num("divider")?.unwrap_or(d.divider),
+        seed: keys.num("seed")?.unwrap_or(d.seed),
+        ..d
     };
-    let Some(family) = ActorFamily::parse(first) else {
-        eprintln!("unknown scenario family `{first}` (expected preempt, timer, or dma)");
-        usage();
-    };
-    let mut spec = ScenarioSpec::smoke(family);
-    let mut out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    for kv in &args[1..] {
-        let Some((k, v)) = kv.split_once('=') else {
-            eprintln!("expected key=value, got `{kv}`");
-            usage();
-        };
-        match k {
-            "queue" => {
-                spec.queue = QueueKind::parse(v).unwrap_or_else(|| {
-                    eprintln!("unknown queue `{v}`");
-                    usage();
-                });
-                continue;
-            }
-            "out" => {
-                out = Some(v.to_string());
-                continue;
-            }
-            "trace-out" => {
-                trace_out = Some(v.to_string());
-                continue;
-            }
-            _ => {}
-        }
-        let n: u64 = v.parse().unwrap_or_else(|_| usage());
-        match k {
-            "workers" => spec.workers = n as usize,
-            "ops" => spec.ops = n,
-            "period" => spec.period = n,
-            "cost" => spec.cost = n,
-            "batch" => spec.batch = n,
-            "divider" => spec.divider = n,
-            "seed" => spec.seed = n,
-            other => {
-                eprintln!("unknown key `{other}`");
-                usage();
-            }
-        }
-    }
+    let out = keys.str("out");
+    let trace_out = keys.str("trace-out");
+    keys.finish()?;
     spec.trace = trace_out.is_some();
 
     let outcome = run_scenario(&spec);
     print!("{}", outcome.summary);
     if let Some(path) = out {
-        std::fs::write(&path, &outcome.summary).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &outcome.summary);
         eprintln!("wrote summary to {path}");
     }
     if let Some(path) = trace_out {
@@ -1075,57 +1002,69 @@ fn scenario_main(args: &[String]) {
             eprintln!("internal error: scenario trace failed validation: {e}");
             std::process::exit(1);
         }
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        write_file(&path, &json);
         eprintln!("wrote Chrome trace to {path}");
     }
     if let Some(v) = outcome.violation {
         eprintln!("scenario: LINEARIZABILITY VIOLATION: {v}");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("bench") => return bench_main(&args[1..]),
-        Some("bench-check") => return bench_check_main(&args[1..]),
-        Some("fig") => return fig_main(&args[1..]),
-        Some("fuzz") => return fuzz_main(&args[1..]),
-        Some("trace") => return trace_main(&args[1..]),
-        Some("trace-validate") => return trace_validate_main(&args[1..]),
-        Some("load") => return load_main(&args[1..]),
-        Some("load-check") => return load_check_main(&args[1..]),
-        Some("scenario") => return scenario_main(&args[1..]),
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("bench") => bench_main(rest),
+        Some("bench-check") => bench_check_main(rest),
+        Some("fig") => fig_main(rest),
+        Some("fuzz") => fuzz_main(rest),
+        Some("trace") => trace_main(rest),
+        Some("trace-validate") => trace_validate_main(rest),
+        Some("load") => load_main(rest),
+        Some("load-check") => load_check_main(rest),
+        Some("scenario") => scenario_main(rest),
         Some("help") | Some("--help") | Some("-h") => {
             println!("{HELP}");
-            return;
+            Ok(())
         }
-        _ => {}
-    }
-    let spec = parse_run_spec(&args, |_, _| false);
-    let m = match spec.backend {
-        BackendKind::Sim => run_workload(spec.queue, &spec.w),
-        BackendKind::Native => run_workload_native(spec.queue, &spec.w),
+        _ => run_main(&args),
     };
+    if let Err(e) = result {
+        eprintln!("simctl: {e}\n");
+        usage();
+    }
+}
 
-    println!("queue\tworkload\tthreads\tlatency_ns\tthroughput_mops\tduration_ns_per_op\ttx_commits\ttx_aborts\ttx_aborts_interrupt\ttripped\tp50_ns\tp99_ns\tmax_ns\thops_intra\thops_cross\tdir_cross");
-    println!(
-        "{}\t{:?}\t{}\t{:.1}\t{:.3}\t{:.1}\t{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}\t{}\t{}\t{}",
-        m.queue,
-        spec.kind,
-        m.threads,
-        m.latency_ns,
-        m.throughput_mops,
-        m.duration_ns_per_op,
-        m.tx_commits,
-        m.tx_aborts,
-        m.tx_aborts_interrupt,
-        m.tripped_writers,
-        m.p50_ns,
-        m.p99_ns,
-        m.max_ns,
-        m.hops_intra,
-        m.hops_cross,
-        m.dir_hops_cross
-    );
+#[cfg(test)]
+mod tests {
+    use super::Keys;
+
+    fn keys(args: &[&str]) -> Result<Keys, String> {
+        Keys::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn typed_getters_take_their_keys() {
+        let mut k = keys(&["ops=30", "threads=1, 2,4", "fix=1", "out=x.tsv"]).unwrap();
+        assert_eq!(k.num::<u64>("ops"), Ok(Some(30)));
+        assert_eq!(k.list::<usize>("threads"), Ok(Some(vec![1, 2, 4])));
+        assert_eq!(k.flag("fix"), Ok(Some(true)));
+        assert_eq!(k.num::<u64>("jobs"), Ok(None));
+        assert_eq!(k.str("out").as_deref(), Some("x.tsv"));
+        assert_eq!(k.finish(), Ok(()));
+    }
+
+    #[test]
+    fn malformed_arguments_are_errors() {
+        // Not key=value: the retired `--key value` form included.
+        assert!(keys(&["--seeds", "4"]).is_err());
+        assert!(keys(&["ops"]).is_err());
+        assert!(keys(&["ops=1", "ops=2"]).is_err(), "duplicate key");
+        let mut k = keys(&["ops=abc", "threads=1,x"]).unwrap();
+        assert!(k.num::<u64>("ops").is_err(), "bad number");
+        assert!(k.list::<usize>("threads").is_err(), "bad list entry");
+        assert!(keys(&["nope=1"]).unwrap().finish().is_err(), "unknown key");
+    }
 }

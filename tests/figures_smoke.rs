@@ -1,6 +1,6 @@
 //! Smoke test for the figure harness: every driver must run end-to-end at
 //! a tiny scale. Guards the bench crate against bit-rot — the real curves
-//! are generated by `cargo run --release -p bench --bin figures`.
+//! are generated by `simctl fig <name|all>`.
 
 use bench::workload::{paper_workload, run_workload, WorkloadKind};
 use harness::QueueKind;
