@@ -7,14 +7,11 @@
 //!   separate sockets — runnable on either `harness` backend (queue
 //!   adapters and execution live in the `harness` crate);
 //! * [`fig`] — the [`fig::Figure`] registry that renders each figure's
-//!   data series as TSV (figure id → DESIGN.md §4 maps it to the paper);
-//! * [`wallbench`] — the wall-clock scheduler benchmark behind
-//!   `simctl bench`.
+//!   data series as TSV (figure id → DESIGN.md §4 maps it to the paper).
 //!
 //! `simctl fig <name|all> [ops= threads= grid= jobs= out=]` is the one
-//! command that regenerates a figure; the `native_queues` bench target
-//! times the native queues.
+//! command that regenerates a figure. Host-time measurement lives in the
+//! separate `perfbench` crate (see `perfbench/README.md`).
 
 pub mod fig;
-pub mod wallbench;
 pub mod workload;

@@ -77,13 +77,6 @@ pub struct Measurement {
     pub p50_ns: f64,
     pub p99_ns: f64,
     pub max_ns: f64,
-    /// Uncontended-fast-path admissions and fallbacks
-    /// (`MachineConfig::fast_path`; zero on native).
-    pub fastpath_hits: u64,
-    pub fastpath_fallbacks: u64,
-    /// Scheduler events the run processed (simulator only) — the
-    /// wall-clock cost driver behind `duration_ns_per_op`.
-    pub sim_events: u64,
     /// Interconnect hops that stayed on one socket vs. crossed sockets
     /// (simulator only; zero on native). `dir_hops_cross` is the
     /// directory-leg share of the cross count — the traffic the
@@ -262,12 +255,6 @@ where
         p50_ns: coherence::cycles_to_ns(hist.p50()),
         p99_ns: coherence::cycles_to_ns(hist.p99()),
         max_ns: coherence::cycles_to_ns(hist.max()),
-        fastpath_hits: report.sim.as_ref().map_or(0, |r| r.stats.fastpath_hits),
-        fastpath_fallbacks: report
-            .sim
-            .as_ref()
-            .map_or(0, |r| r.stats.fastpath_fallbacks),
-        sim_events: report.sim.as_ref().map_or(0, |r| r.stats.events),
         hops_intra: report.sim.as_ref().map_or(0, |r| r.stats.hops_intra),
         hops_cross: report.sim.as_ref().map_or(0, |r| r.stats.hops_cross),
         dir_hops_cross: report.sim.as_ref().map_or(0, |r| r.stats.dir_hops_cross),

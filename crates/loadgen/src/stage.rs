@@ -12,11 +12,11 @@
 //! end-to-end SLO latency, not just closed-loop ops/thread.
 //!
 //! Request `id` (1-based) is the queue element itself; its scheduled
-//! arrival, ingress-enqueue, and completion times live in host-side
-//! tables indexed by id. On the simulator every timestamp is a
-//! deterministic function of the plan, so a run's histograms, digest,
-//! and exported trace are byte-identical across repeats; on native the
-//! same code measures wall-clock cycles.
+//! arrival and completion times live in host-side tables indexed by id.
+//! On the simulator every timestamp is a deterministic function of the
+//! plan, so a run's histograms, digest, and exported trace are
+//! byte-identical across repeats; on native the same code measures
+//! wall-clock cycles.
 
 use crate::plan::LoadPlan;
 use absmem::ThreadCtx;
@@ -123,6 +123,11 @@ struct Shared {
     eg_deq: AtomicU64,
     ing_depth_max: AtomicU64,
     eg_depth_max: AtomicU64,
+    /// Scheduled arrival per request id on the source's clock (index 0
+    /// unused). Egress measures e2e latency against this, not against
+    /// its own start: on native the stage threads leave the barrier at
+    /// different times, so only the source knows when a request was due.
+    due_t: Vec<AtomicU64>,
     /// Completion timestamp per request id (index 0 unused).
     final_t: Vec<AtomicU64>,
     outs: Mutex<Vec<RoleOut>>,
@@ -141,6 +146,7 @@ impl Shared {
             eg_deq: AtomicU64::new(0),
             ing_depth_max: AtomicU64::new(0),
             eg_depth_max: AtomicU64::new(0),
+            due_t: (0..=plan.requests).map(|_| AtomicU64::new(0)).collect(),
             final_t: (0..=plan.requests).map(|_| AtomicU64::new(0)).collect(),
             outs: Mutex::new(Vec::new()),
         }
@@ -231,6 +237,7 @@ where
                 }
                 let t0 = ctx.now();
                 out.src_lag.record(t0.saturating_sub(due));
+                sh.due_t[id as usize].store(due, SeqCst);
                 q.enqueue(ctx, id);
                 let t1 = ctx.now();
                 out.enq_op.record(t1 - t0);
@@ -302,14 +309,13 @@ where
             let mut tobs = sink.as_ref().map(|sk| sk.thread(ctx.thread_id()));
             let mut out = RoleOut::new();
             ctx.barrier();
-            let start = ctx.now();
             loop {
                 let t0 = ctx.now();
                 match q.dequeue(ctx) {
                     Some(id) => {
                         sh.eg_deq.fetch_add(1, SeqCst);
                         let t1 = ctx.now();
-                        let due = start + sh.arrivals[(id - 1) as usize];
+                        let due = sh.due_t[id as usize].load(SeqCst);
                         out.e2e.record(t1.saturating_sub(due));
                         sh.final_t[id as usize].store(t1, SeqCst);
                         if let Some(o) = &mut tobs {

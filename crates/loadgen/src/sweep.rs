@@ -160,7 +160,7 @@ pub fn to_tsv(r: &SweepResult) -> String {
 }
 
 /// Renders the sweep as a JSON document (schema `sbq-loadgen-v1`),
-/// hand-rolled like the wallbench exporter — no serializer dependency.
+/// hand-rolled like the `obs` trace exporter — no serializer dependency.
 /// Same determinism contract as [`to_tsv`].
 pub fn to_json(r: &SweepResult) -> String {
     let mut s = String::from("{\n");

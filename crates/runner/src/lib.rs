@@ -1,6 +1,6 @@
 //! # runner — parallel experiment job pool with deterministic merge
 //!
-//! Every experiment layer in this tree (figure sweeps, wall-clock bench
+//! Every experiment layer in this tree (figure sweeps, load-sweep rate
 //! points, fuzz campaign seeds, cross-scheduler differential runs) is a
 //! list of *independent* jobs: each one spins up its own `Machine` or
 //! native-backend run and shares nothing with its neighbours. This crate
@@ -100,26 +100,6 @@ impl JobReport {
         } else {
             busy as f64 / capacity as f64
         }
-    }
-
-    /// Folds a subsequent batch's report into this one, as if the two
-    /// batches had run back-to-back on a single pool: the other batch's
-    /// spans are shifted onto the end of this report's timeline and its
-    /// submission indices are offset past this batch's. Lets a driver
-    /// that runs several pools in sequence (e.g. `simctl bench` with the
-    /// native series on) report one combined summary and trace.
-    pub fn absorb(&mut self, other: &JobReport) {
-        let (dt, di) = (self.total_wall_ns, self.tasks);
-        self.jobs = self.jobs.max(other.jobs);
-        self.tasks += other.tasks;
-        self.latency.merge(&other.latency);
-        self.spans.extend(other.spans.iter().map(|s| JobSpan {
-            worker: s.worker,
-            index: s.index + di,
-            start_ns: s.start_ns + dt,
-            end_ns: s.end_ns + dt,
-        }));
-        self.total_wall_ns += other.total_wall_ns;
     }
 
     /// One-line human summary for CLI diagnostics.
@@ -383,24 +363,6 @@ mod tests {
         assert_eq!(sum.spans, 6, "one op span per job: {sum:?}");
         assert!(sum.names.contains("job-claim"));
         assert!(sum.tracks.len() <= 2, "at most one track per worker");
-    }
-
-    #[test]
-    fn absorb_concatenates_batches_on_one_timeline() {
-        let (_, mut a) = run_all(2, vec![|| 1u32, || 2]);
-        let (_, b) = run_all(3, vec![|| 3u32, || 4, || 5]);
-        let a_wall = a.total_wall_ns;
-        a.absorb(&b);
-        assert_eq!(a.tasks, 5);
-        assert_eq!(a.jobs, 3);
-        assert_eq!(a.latency.count(), 5);
-        assert_eq!(a.spans.len(), 5);
-        // The absorbed spans keep going where the first batch stopped.
-        assert_eq!(a.spans[2].index, 2);
-        assert!(a.spans[2].start_ns >= a_wall);
-        assert_eq!(a.total_wall_ns, a_wall + b.total_wall_ns);
-        let json = a.utilization_trace("absorb test");
-        obs::validate(&json).expect("combined trace must validate");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! simctl — the command line for every experiment in the workspace:
-//! single workload points, figure regeneration, traces, benchmarks,
-//! fuzz campaigns, load sweeps and component scenarios.
+//! single workload points, figure regeneration, traces, fuzz campaigns,
+//! load sweeps and component scenarios. Host-time benchmarking is the
+//! separate `perfbench` crate.
 //!
 //! Every subcommand shares one grammar: a few positional arguments
 //! followed by `key=value` pairs. A pair that is not `key=value`, a
@@ -37,28 +38,6 @@
 //! hardware atomics instead of the simulator; the machine keys (`hop`,
 //! `hop-cross`, `fix`, `seed`) then have no effect and the HTM counters
 //! read zero.
-//!
-//! `simctl bench [key=value ...]` instead runs the fixed wall-clock
-//! scheduler benchmark and writes `BENCH_sim.json` (see
-//! [`bench::wallbench`]). Keys:
-//!
-//! ```text
-//! scale    workload size multiplier        default 1
-//! reps     runs per point (best kept)      default 3
-//! label    scheduler label in the JSON     default "current"
-//! out      JSON output path                default BENCH_sim.json
-//! tsv-out  also write the TSV capture here (optional)
-//! baseline prior TSV capture to compare against (optional)
-//! baseline-label  label of the baseline in the JSON  default "baseline"
-//! native   also run the native wall-clock series (0/1, default 0)
-//! jobs     worker threads for the point pool; 0 = auto    default 1
-//! runner-trace  write the pool's utilization Chrome trace here (optional)
-//! ```
-//!
-//! The points run as independent jobs on a [`runner`] pool and merge in
-//! submission order, so the TSV/JSON structure is identical for any
-//! `jobs` value; with `jobs > 1` the points contend for host cores, so
-//! `bench` defaults to the undisturbed serial measurement.
 //!
 //! `simctl fig <name|all> [key=value ...]` regenerates one figure of the
 //! paper's evaluation as TSV, or every figure in order with `all` (see
@@ -101,13 +80,7 @@
 //! the trace schema before it is written.
 //!
 //! `simctl trace-validate <file>` re-validates any such document and
-//! prints a summary (exit 1 if invalid); `simctl bench-check <file>`
-//! checks a `BENCH_sim.json` for the per-point latency-distribution
-//! fields (`p50_ns <= p99_ns <= max_ns`, exit 1 on violation). With
-//! `against=COMMITTED.json` it is also the performance gate: every
-//! point shared with the committed document must sustain at least
-//! `1 - max-regress/100` (default 15%) of its committed
-//! `sim_ops_per_sec`, exit 1 on regression.
+//! prints a summary (exit 1 if invalid).
 //!
 //! `simctl fuzz [key=value ...]` runs a [`simfuzz`] campaign —
 //! randomized workloads with fault injection, every history
@@ -216,10 +189,6 @@ usage:
       one observed run exported as a Chrome trace-event JSON document
   simctl trace-validate <file.json>
       re-validate an exported trace document (exit 1 if invalid)
-  simctl bench [scale= reps= label= out= tsv-out= baseline= baseline-label= native= jobs= runner-trace=]
-      wall-clock scheduler benchmark; writes BENCH_sim.json
-  simctl bench-check <file.json> [against=COMMITTED.json] [max-regress=PCT]
-      validate a bench document; with against=, gate on perf regressions
   simctl fuzz [seeds= start= queue= backend=sim|native artifacts= jobs= runner-trace= repro=]
       randomized linearizability fuzzing with shrinking + replay artifacts
   simctl load <queue> [key=value ...]
@@ -511,59 +480,6 @@ fn fuzz_main(args: &[String]) -> Res<()> {
     Ok(())
 }
 
-fn bench_main(args: &[String]) -> Res<()> {
-    let mut keys = Keys::parse(args)?;
-    let scale = keys.num("scale")?.unwrap_or(1);
-    let reps = keys.num("reps")?.unwrap_or(3);
-    let label = keys.str("label").unwrap_or_else(|| "current".into());
-    let out = keys.str("out").unwrap_or_else(|| "BENCH_sim.json".into());
-    let tsv_out = keys.str("tsv-out");
-    let baseline = keys.str("baseline");
-    let baseline_label = keys
-        .str("baseline-label")
-        .unwrap_or_else(|| "baseline".into());
-    let native = keys.flag("native")?.unwrap_or(false);
-    // Serial by default: the benchmark measures wall time, and parallel
-    // points perturb each other. `jobs=0` opts into auto.
-    let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(1));
-    let runner_trace = keys.str("runner-trace");
-    keys.finish()?;
-    // Validate the baseline before spending time on the runs.
-    let base_points = baseline.map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        bench::wallbench::from_tsv(&text).unwrap_or_else(|| {
-            eprintln!("malformed baseline {path}");
-            std::process::exit(2);
-        })
-    });
-    let (mut points, mut pool) = bench::wallbench::run_points_jobs(scale, reps, jobs);
-    if native {
-        let (native_pts, native_pool) = bench::wallbench::native_points_jobs(scale, reps, jobs);
-        points.extend(native_pts);
-        pool.absorb(&native_pool);
-    }
-    print!("{}", bench::wallbench::to_tsv(&points));
-    eprintln!("{}", pool.summary());
-    if let Some(path) = runner_trace {
-        write_file(&path, &pool.utilization_trace("simctl bench"));
-        eprintln!("wrote runner utilization trace to {path}");
-    }
-    if let Some(path) = tsv_out {
-        write_file(&path, &bench::wallbench::to_tsv(&points));
-    }
-    let json = bench::wallbench::to_json(
-        &label,
-        &points,
-        base_points.as_deref().map(|b| (baseline_label.as_str(), b)),
-    );
-    write_file(&out, &json);
-    eprintln!("wrote {out}");
-    Ok(())
-}
-
 /// `simctl fig <name|all> [key=value ...]`: regenerate one figure, or
 /// every figure, as TSV. The output is a pure function of the keys.
 fn fig_main(args: &[String]) -> Res<()> {
@@ -670,112 +586,6 @@ fn trace_validate_main(args: &[String]) -> Res<()> {
             std::process::exit(1);
         }
     }
-    Ok(())
-}
-
-/// Loads a `BENCH_sim.json`-shaped document and returns its points
-/// array, exiting with a diagnostic on any structural problem.
-fn load_bench_points(path: &str) -> Vec<obs::json::Value> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: not JSON — {e}");
-        std::process::exit(1);
-    });
-    let points = doc
-        .get("points")
-        .and_then(obs::json::Value::as_arr)
-        .unwrap_or_else(|| {
-            eprintln!("{path}: missing \"points\" array");
-            std::process::exit(1);
-        })
-        .to_vec();
-    if points.is_empty() {
-        eprintln!("{path}: empty \"points\" array");
-        std::process::exit(1);
-    }
-    points
-}
-
-fn point_field(path: &str, p: &obs::json::Value, i: usize, name: &str, key: &str) -> f64 {
-    p.get(key)
-        .and_then(obs::json::Value::as_num)
-        .unwrap_or_else(|| {
-            eprintln!("{path}: point {i} ({name}): missing numeric \"{key}\"");
-            std::process::exit(1);
-        })
-}
-
-/// Asserts the latency-distribution fields `simctl bench` emits are
-/// present on every point and ordered (`p50_ns <= p99_ns <= max_ns`).
-/// With `against=COMMITTED.json`, additionally acts as the performance
-/// gate: every point present in both documents must sustain at least
-/// `(1 - max-regress/100)` of the committed `sim_ops_per_sec`.
-fn bench_check_main(args: &[String]) -> Res<()> {
-    let (pos, mut keys) = split_args(args, 1, "<file.json>")?;
-    let path = &pos[0];
-    let against = keys.str("against");
-    let max_regress: f64 = keys.num("max-regress")?.unwrap_or(15.0);
-    keys.finish()?;
-    let points = load_bench_points(path);
-    for (i, p) in points.iter().enumerate() {
-        let name = p
-            .get("name")
-            .and_then(obs::json::Value::as_str)
-            .unwrap_or("?");
-        let field = |key: &str| point_field(path, p, i, name, key);
-        let (p50, p99, max) = (field("p50_ns"), field("p99_ns"), field("max_ns"));
-        if !(p50 <= p99 && p99 <= max) {
-            eprintln!(
-                "{path}: point {i} ({name}): percentiles out of order: \
-                 p50={p50} p99={p99} max={max}"
-            );
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "{path}: ok — {} point(s), p50_ns <= p99_ns <= max_ns on all",
-        points.len()
-    );
-    let Some(against) = against else {
-        return Ok(());
-    };
-    let committed = load_bench_points(&against);
-    let floor = 1.0 - max_regress / 100.0;
-    let mut compared = 0usize;
-    for (i, p) in points.iter().enumerate() {
-        let name = p
-            .get("name")
-            .and_then(obs::json::Value::as_str)
-            .unwrap_or("?");
-        let Some(b) = committed
-            .iter()
-            .find(|b| b.get("name").and_then(obs::json::Value::as_str) == Some(name))
-        else {
-            continue;
-        };
-        let fresh = point_field(path, p, i, name, "sim_ops_per_sec");
-        let base = point_field(&against, b, i, name, "sim_ops_per_sec");
-        compared += 1;
-        if fresh < base * floor {
-            eprintln!(
-                "{path}: point {name}: sim_ops_per_sec {fresh:.0} is more than \
-                 {max_regress}% below committed {base:.0} ({against})"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "{name}: {fresh:.0} vs committed {base:.0} ({:+.1}%)",
-            (fresh / base - 1.0) * 100.0
-        );
-    }
-    if compared == 0 {
-        eprintln!("{path}: no point names match {against}; nothing gated");
-        std::process::exit(1);
-    }
-    println!("perf gate: ok — {compared} point(s) within {max_regress}% of {against}");
     Ok(())
 }
 
@@ -1016,8 +826,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rest = args.get(1..).unwrap_or_default();
     let result = match args.first().map(String::as_str) {
-        Some("bench") => bench_main(rest),
-        Some("bench-check") => bench_check_main(rest),
         Some("fig") => fig_main(rest),
         Some("fuzz") => fuzz_main(rest),
         Some("trace") => trace_main(rest),
