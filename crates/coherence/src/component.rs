@@ -32,10 +32,7 @@ use crate::config::ComponentSpec;
 use crate::sim::CompCtx;
 
 /// One time-evolving actor on the machine's discrete-event spine.
-///
-/// `Send` because the OS-thread scheduler moves the owning `Sim` across
-/// threads between phases.
-pub trait Component: Send {
+pub trait Component {
     /// Short stable name, used for trace tracks and assertion messages.
     fn name(&self) -> &'static str;
 

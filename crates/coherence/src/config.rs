@@ -59,7 +59,7 @@ pub enum ComponentSpec {
     },
     /// A benign no-op actor that ticks every `period` cycles and does
     /// nothing — it exists to prove that merely *scheduling* components
-    /// never perturbs a run (the cross-scheduler differential suite
+    /// never perturbs a run (the cross-link differential suite
     /// attaches one and demands byte-identical reports). `count` bounds
     /// the number of ticks; 0 = unlimited.
     Heartbeat {
@@ -77,9 +77,9 @@ pub enum ComponentSpec {
 /// line's home.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HomePolicy {
-    /// Every line homes on [`MachineConfig::home_socket`] — the seed
-    /// behaviour, and the right model for a single socket. All
-    /// calibrated goldens use this policy.
+    /// Every line homes on socket 0 — the seed behaviour, and the right
+    /// model for a single socket. All calibrated goldens use this
+    /// policy.
     #[default]
     Fixed,
     /// Hash-interleaved: a multiplicative hash of the line address
@@ -107,12 +107,9 @@ pub struct MachineConfig {
     pub hop_intra: u64,
     /// One-way message delay when crossing the socket interconnect, cycles.
     pub hop_cross: u64,
-    /// Socket holding the directory/LLC slice for all simulated lines
-    /// under [`HomePolicy::Fixed`]; ignored by the distributed policies.
-    pub home_socket: usize,
     /// How cache-line addresses map to directory home sockets (the NUMA
     /// geometry of the paper's dual-socket machine, §6.1). The default
-    /// keeps every line on `home_socket`, which is byte-identical to the
+    /// keeps every line on socket 0, which is byte-identical to the
     /// pre-policy simulator.
     pub home_policy: HomePolicy,
     /// Directory/LLC-slice occupancy: minimum spacing between two
@@ -185,35 +182,16 @@ pub struct MachineConfig {
     /// bit-exact with the full protocol (see `Sim::try_fast_path` and
     /// DESIGN.md §12 for the admission conditions). The slow path remains
     /// the semantic reference: runs with this flag off are byte-identical
-    /// to runs with it on, just slower. Default on; setting the
-    /// `SBQ_FAST_PATH=0` environment variable flips the default off,
-    /// which is how the CI golden job replays the determinism suite on
-    /// the pure protocol path.
+    /// to runs with it on, just slower. Default on; the determinism
+    /// goldens pin both settings.
     pub fast_path: bool,
-    /// Run simulated cores on dedicated OS threads (the slot-handshake
-    /// token-passing scheduler) instead of the default in-process fiber
-    /// scheduler. On targets without fiber support (non-x86_64) the
-    /// OS-thread scheduler is always used. Both schedulers produce
-    /// bit-identical `RunReport`s — this switch exists for the
-    /// cross-scheduler determinism test and for debugging; the fiber
-    /// scheduler is roughly an order of magnitude faster per simulated
-    /// op under contention.
-    pub os_thread_scheduler: bool,
-    /// Stack size, bytes, of each simulated core's fiber under the
-    /// in-process scheduler. Simulated programs are shallow (queue
-    /// operations plus the `htm` combinators), and the measured canary
-    /// high-water mark sits well under 32 KiB even in debug builds, so
-    /// the 64 KiB default leaves a paper-scale 176-core machine at
-    /// ~11 MiB of stacks (vs 177 MiB under the old fixed 1 MiB layout)
-    /// while keeping generous headroom. Raise it for unusually deep
-    /// user programs; the canary check at every fiber handoff turns an
-    /// overflow into a panic rather than silent corruption.
-    pub fiber_stack: usize,
     /// Paint each fiber stack with the canary pattern at spawn so the
     /// run can report a stack high-water mark
     /// (`Stats::stack_high_water`). Costs one memset per fiber, so it
     /// is off by default — stack memory is otherwise deliberately left
     /// uninitialized (zeroing large stacks per run is a measured cost).
+    /// Only the fiber link has stacks to paint; the thread link ignores
+    /// it.
     pub measure_stacks: bool,
     /// Record a full message/transaction trace (costly; for the Figure 2/3
     /// reproductions and debugging).
@@ -236,7 +214,6 @@ impl Default for MachineConfig {
             cores_per_socket: 44,
             hop_intra: 25,
             hop_cross: 110,
-            home_socket: 0,
             home_policy: HomePolicy::Fixed,
             dir_occupancy: 4,
             cache_occupancy: 8,
@@ -253,9 +230,7 @@ impl Default for MachineConfig {
             tx_capacity_lines: 0,
             sched_perturb: 0,
             seed: 0x5b90,
-            fast_path: std::env::var_os("SBQ_FAST_PATH").is_none_or(|v| v != "0"),
-            os_thread_scheduler: false,
-            fiber_stack: 64 * 1024,
+            fast_path: true,
             measure_stacks: false,
             trace: false,
             check_invariants: cfg!(debug_assertions),

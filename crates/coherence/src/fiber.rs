@@ -1,10 +1,10 @@
-//! Minimal stackful coroutines ("fibers") for the machine scheduler.
-//! x86_64 System V only; other targets fall back to the OS-thread
-//! scheduler in [`crate::machine`].
+//! Minimal stackful coroutines ("fibers") for the machine's fiber link.
+//! x86_64 System V only; other targets use the thread link in
+//! [`crate::machine`].
 //!
 //! The simulation runs exactly one simulated thread at any instant, so
-//! the scheduler's only job is to move control between blocked program
-//! stacks in a deterministic order. Doing that with OS threads costs a
+//! a link's only job is to move control between the pump and blocked
+//! program stacks. Doing that with OS threads costs a
 //! futex round trip through the kernel per handoff (~1–2 µs wall clock
 //! once scheduling latency and cache pollution are counted — measured
 //! to dominate the simulator's hot loop). A cooperative stack switch
@@ -23,12 +23,13 @@
 //!   available without adding a libc dependency), so overflowing one
 //!   corrupts the heap instead of faulting. Stacks are generously sized
 //!   ([`DEFAULT_STACK`]) and carry a canary word at the low end;
-//!   [`Fiber::canary_ok`] lets the scheduler turn an overflow into a
-//!   panic at the next handoff.
+//!   [`Fiber::canary_ok`] lets the link turn an overflow into a panic
+//!   at the next handoff.
 //! * **Panic containment is the embedder's job.** The entry closure must
 //!   never unwind off the fiber: there is no caller frame below the
 //!   bootstrap trampoline. `machine.rs` wraps every program in
-//!   `catch_unwind` and reports the payload through its channel.
+//!   `catch_unwind` and hands the payload to the pump as the core's
+//!   retirement request.
 //! * **A fiber dropped while suspended leaks whatever its stack frames
 //!   own** — destructors of suspended locals never run. This only
 //!   happens when a run is being torn down by a panic.
@@ -36,13 +37,13 @@
 use std::cell::Cell;
 use std::mem::MaybeUninit;
 
-/// Default fiber stack size: 64 KiB, mirroring the
-/// `MachineConfig::fiber_stack` default (the config cannot reference
-/// this constant — this module is x86_64-only). Simulated programs are
-/// shallow (queue operations plus the `htm` combinators); measured
-/// canary high-water marks sit well under 32 KiB even in debug builds,
-/// and at 64 KiB a paper-scale 176-core machine keeps all its stacks in
-/// ~11 MiB instead of the 177 MiB the old fixed 1 MiB layout needed.
+/// The fiber link's stack size: 64 KiB per simulated core. Simulated
+/// programs are shallow (queue operations plus the `htm` combinators);
+/// measured canary high-water marks sit well under 32 KiB even in debug
+/// builds, and at 64 KiB a paper-scale 176-core machine keeps all its
+/// stacks in ~11 MiB instead of the 177 MiB the old fixed 1 MiB layout
+/// needed. The canary check at every handoff turns an overflow into a
+/// panic rather than silent corruption.
 pub const DEFAULT_STACK: usize = 1 << 16;
 
 /// Written to the lowest stack word at creation; overwritten only by a
@@ -162,8 +163,8 @@ impl Fiber {
 ///   not yet resumed. Entering a context twice, or a context whose stack
 ///   has been freed, is undefined behavior.
 /// * All fiber switching for a given set of stacks must stay on one OS
-///   thread (contexts embed stack addresses, and the scheduler's
-///   channels are not synchronized).
+///   thread (contexts embed stack addresses, and the link's channels
+///   are not synchronized).
 #[inline]
 pub unsafe fn switch(save: &Cell<*mut u8>, to: *mut u8) {
     unsafe { raw_switch(save.as_ptr(), to) }

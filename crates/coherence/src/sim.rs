@@ -966,12 +966,11 @@ pub struct Sim {
     check_countdown: u32,
     /// Earliest time each directory slice can accept its next request,
     /// indexed by home socket. Under `HomePolicy::Fixed` every line maps
-    /// to the `home_socket` slot, which is exactly the old single-slice
+    /// to the socket-0 slot, which is exactly the old single-slice
     /// occupancy; the distributed policies give each socket's slice its
     /// own pipeline, as on real parts.
     dir_free_at: Vec<u64>,
-    /// Number of sockets the topology spans (≥ `home_socket + 1` so the
-    /// fixed policy always has its slot).
+    /// Number of sockets the topology spans.
     nsockets: usize,
     /// First-touch home assignments (`HomePolicy::FirstTouch` only):
     /// line address → socket of the first core whose request for it hit
@@ -1026,7 +1025,7 @@ impl Sim {
             .components
             .iter()
             .any(|s| matches!(s, ComponentSpec::Interrupt { .. }));
-        let nsockets = cfg.sockets().max(cfg.home_socket + 1);
+        let nsockets = cfg.sockets();
         let mut sim = Sim {
             rng: SimRng::seed_from_u64(cfg.seed),
             clock: 0,
@@ -1087,7 +1086,7 @@ impl Sim {
     /// Dir→core reply looks up always exists by then).
     fn home_socket_of(&mut self, addr: u64, toucher: usize) -> usize {
         match self.cfg.home_policy {
-            HomePolicy::Fixed => self.cfg.home_socket,
+            HomePolicy::Fixed => 0,
             HomePolicy::Interleave => {
                 (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.nsockets
             }
@@ -1999,7 +1998,7 @@ impl Sim {
         // Directory occupancy: each home socket's slice retires at most
         // one request per `dir_occupancy` cycles; simultaneous arrivals
         // are naturally staggered, exactly like a real LLC slice. Under
-        // the fixed policy every line shares the `home_socket` slice.
+        // the fixed policy every line shares the socket-0 slice.
         if self.cfg.dir_occupancy > 0 {
             let home = self.home_socket_of(msg.line(), from);
             if self.clock < self.dir_free_at[home] {

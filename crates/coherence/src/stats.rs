@@ -85,13 +85,13 @@ pub struct Stats {
     /// rendered as a Dir-track counter by the obs Chrome exporter.
     pub dir_hops_cross: u64,
     /// Total fiber-stack bytes the run reserved (spawned fibers ×
-    /// `MachineConfig::fiber_stack`). A scheduler-footprint measure like
-    /// `events`: 0 under the OS-thread scheduler, excluded from the
-    /// determinism fingerprint.
+    /// `fiber::DEFAULT_STACK`). A host-footprint measure like `events`:
+    /// 0 on the thread link, whose cores run on OS-thread stacks, and
+    /// excluded from the determinism fingerprint.
     pub stack_bytes_total: u64,
     /// Deepest stack use, bytes, observed over all fibers via the canary
     /// paint. 0 unless `MachineConfig::measure_stacks` was set (and
-    /// always 0 under the OS-thread scheduler).
+    /// always 0 on the thread link).
     pub stack_high_water: u64,
     /// Memory operations executed, indexed by [`OP_KINDS`].
     ops: [u64; OP_KINDS.len()],

@@ -1,10 +1,23 @@
 //! Barrier primitive semantics: all participants resume at the same
-//! simulated time, and phased workloads order correctly across it.
+//! simulated time, and phased workloads order correctly across it. Also
+//! the edges of a run on both links: no programs, empty programs, and a
+//! program that panics.
 
 use absmem::ThreadCtx;
-use coherence::{Machine, MachineConfig, Program, SimCtx};
+use coherence::machine::testhooks::run_on_threads;
+use coherence::{Machine, MachineConfig, Program, RunReport, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
+
+/// Runs on the default link, or on the thread link when `threads` is set.
+fn run_on(cfg: MachineConfig, threads: bool, setup: Program, programs: Vec<Program>) -> RunReport {
+    let mut machine = Machine::new(cfg);
+    if threads {
+        run_on_threads(&mut machine, setup, programs)
+    } else {
+        machine.run(setup, programs)
+    }
+}
 
 #[test]
 fn barrier_aligns_local_clocks() {
@@ -70,10 +83,10 @@ fn writes_before_barrier_visible_after() {
 /// return a clean report instead.
 #[test]
 fn zero_thread_run_returns_clean_report() {
-    for os_threads in [false, true] {
-        let mut cfg = MachineConfig::single_socket(2);
-        cfg.os_thread_scheduler = os_threads;
-        let report = Machine::new(cfg).run(
+    for threads in [false, true] {
+        let report = run_on(
+            MachineConfig::single_socket(2),
+            threads,
             Box::new(|ctx| {
                 let a = ctx.alloc(2);
                 ctx.write(a, 7);
@@ -86,17 +99,59 @@ fn zero_thread_run_returns_clean_report() {
 }
 
 /// Regression companion: programs whose bodies do nothing (no ops, no
-/// barrier) must also complete cleanly on both schedulers.
+/// barrier) must also complete cleanly on both links.
 #[test]
 fn all_empty_programs_return_clean_report() {
-    for os_threads in [false, true] {
-        let mut cfg = MachineConfig::single_socket(3);
-        cfg.os_thread_scheduler = os_threads;
+    for threads in [false, true] {
         let programs: Vec<Program> = (0..3)
             .map(|_| Box::new(|_: &mut SimCtx| {}) as Program)
             .collect();
-        let report = Machine::new(cfg).run(Box::new(|_| {}), programs);
+        let report = run_on(
+            MachineConfig::single_socket(3),
+            threads,
+            Box::new(|_| {}),
+            programs,
+        );
         assert_eq!(report.core_end.len(), 3);
+    }
+}
+
+/// A program that panics mid-run surfaces from the run with its own
+/// payload on both links, while its siblings are blocked in requests;
+/// the thread link must unwind those siblings and return, not hang.
+#[test]
+fn program_panic_surfaces_its_own_message() {
+    for threads in [false, true] {
+        let programs: Vec<Program> = (0..4)
+            .map(|i| {
+                Box::new(move |ctx: &mut SimCtx| {
+                    let a = ctx.alloc(1);
+                    for _ in 0..3 {
+                        ctx.faa(a, 1);
+                    }
+                    if i == 2 {
+                        panic!("core {i} gave up mid-run");
+                    }
+                    for _ in 0..100 {
+                        ctx.faa(a, 1);
+                    }
+                }) as Program
+            })
+            .collect();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_on(
+                MachineConfig::single_socket(4),
+                threads,
+                Box::new(|_| {}),
+                programs,
+            )
+        }));
+        let payload = run.expect_err("a program panic must fail the run");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("core 2 gave up mid-run"),
+            "threads={threads}: the run lost the program's panic message"
+        );
     }
 }
 

@@ -1,10 +1,11 @@
 //! Component-spine behaviour: interrupt sources abort transactions with
-//! `txn::INTERRUPT` and stay deterministic across runs and schedulers;
+//! `txn::INTERRUPT` and stay deterministic across runs and links;
 //! tick gates pace `wait_tick()` consumers (banking early releases);
 //! heartbeats are provably benign; and a paced thread with no gate fails
 //! the deadlock assertion with a hint instead of hanging.
 
 use absmem::ThreadCtx;
+use coherence::machine::testhooks::run_on_threads;
 use coherence::txn;
 use coherence::{ComponentSpec, Machine, MachineConfig, Program, RunReport, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -13,8 +14,14 @@ use std::sync::{Arc, Mutex};
 /// `cores` threads, each committing `txns` transactions that read,
 /// dwell, and increment one shared counter word. The dwell keeps the
 /// transaction window open long enough for a periodic interrupt source
-/// to land inside it.
-fn txn_workload(mut cfg: MachineConfig, txns: u64, statuses: Arc<Mutex<Vec<u32>>>) -> RunReport {
+/// to land inside it. `threads` runs it on the thread link instead of
+/// the default one.
+fn txn_workload(
+    mut cfg: MachineConfig,
+    txns: u64,
+    statuses: Arc<Mutex<Vec<u32>>>,
+    threads: bool,
+) -> RunReport {
     let cores = cfg.cores;
     cfg.delay_jitter_pct = 0;
     let shared = Arc::new(AtomicU64::new(0));
@@ -42,14 +49,17 @@ fn txn_workload(mut cfg: MachineConfig, txns: u64, statuses: Arc<Mutex<Vec<u32>>
         })
         .collect();
     let s2 = Arc::clone(&shared);
-    Machine::new(cfg).run(
-        Box::new(move |ctx| {
-            let a = ctx.alloc(1);
-            ctx.write(a, 0);
-            s2.store(a, SeqCst);
-        }),
-        programs,
-    )
+    let setup: Program = Box::new(move |ctx| {
+        let a = ctx.alloc(1);
+        ctx.write(a, 0);
+        s2.store(a, SeqCst);
+    });
+    let mut machine = Machine::new(cfg);
+    if threads {
+        run_on_threads(&mut machine, setup, programs)
+    } else {
+        machine.run(setup, programs)
+    }
 }
 
 fn interrupt_cfg(cores: usize) -> MachineConfig {
@@ -66,7 +76,7 @@ fn interrupt_cfg(cores: usize) -> MachineConfig {
 #[test]
 fn interrupt_source_aborts_transactions_with_interrupt_status() {
     let statuses = Arc::new(Mutex::new(Vec::new()));
-    let report = txn_workload(interrupt_cfg(2), 25, Arc::clone(&statuses));
+    let report = txn_workload(interrupt_cfg(2), 25, Arc::clone(&statuses), false);
     assert_eq!(report.stats.tx_commits, 50, "every txn eventually commits");
     assert!(
         report.stats.interrupts_fired > 0,
@@ -102,7 +112,7 @@ fn interrupt_source_aborts_transactions_with_interrupt_status() {
 }
 
 #[test]
-fn interrupted_runs_are_deterministic_and_scheduler_independent() {
+fn interrupted_runs_are_deterministic_and_link_independent() {
     let fingerprint = |r: &RunReport| {
         format!(
             "end={} core_end={:?} commits={} interrupts={} int_aborts={} conflicts={}",
@@ -114,28 +124,24 @@ fn interrupted_runs_are_deterministic_and_scheduler_independent() {
             r.stats.tx_aborts_conflict,
         )
     };
-    let a = fingerprint(&txn_workload(
-        interrupt_cfg(3),
-        12,
-        Arc::new(Mutex::new(Vec::new())),
-    ));
-    let b = fingerprint(&txn_workload(
-        interrupt_cfg(3),
-        12,
-        Arc::new(Mutex::new(Vec::new())),
-    ));
-    assert_eq!(a, b, "same seed, same interrupts, same run");
-    let mut cfg = interrupt_cfg(3);
-    cfg.os_thread_scheduler = true;
-    let c = fingerprint(&txn_workload(cfg, 12, Arc::new(Mutex::new(Vec::new()))));
-    assert_eq!(a, c, "both schedulers agree under interrupt components");
+    let run = |threads| {
+        fingerprint(&txn_workload(
+            interrupt_cfg(3),
+            12,
+            Arc::new(Mutex::new(Vec::new())),
+            threads,
+        ))
+    };
+    let a = run(false);
+    assert_eq!(a, run(false), "same seed, same interrupts, same run");
+    assert_eq!(a, run(true), "both links agree under interrupt components");
 }
 
 #[test]
 fn interrupts_appear_in_the_trace_on_component_and_core_tracks() {
     let mut cfg = interrupt_cfg(2);
     cfg.trace = true;
-    let report = txn_workload(cfg, 8, Arc::new(Mutex::new(Vec::new())));
+    let report = txn_workload(cfg, 8, Arc::new(Mutex::new(Vec::new())), false);
     let mut comp_marks = 0u64;
     for e in &report.trace {
         if let coherence::TraceEvent::Comp {

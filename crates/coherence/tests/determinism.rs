@@ -1,12 +1,15 @@
 //! Determinism regression: a fixed workload must produce bit-identical
 //! `RunReport`s on every run, and identical to the golden fingerprint
 //! captured on the original mpsc-channel scheduler — so scheduler and
-//! hot-loop rewrites provably preserve simulated results.
+//! hot-loop rewrites provably preserve simulated results. Every golden
+//! holds on both links (fibers and OS threads) with the fast path on and
+//! off.
 //!
 //! The fixture disables delay jitter and spurious aborts (the only RNG
 //! consumers), so any divergence is a scheduler-ordering bug, not noise.
 
 use absmem::ThreadCtx;
+use coherence::machine::testhooks::run_on_threads;
 use coherence::{ComponentSpec, Machine, MachineConfig, Program, RunReport, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -53,13 +56,14 @@ fn fingerprint(r: &RunReport) -> String {
 /// A fixed 4-core workload covering the protocol broadside: contended
 /// FAA and CAS, shared reads, exclusive writes, swap, delays, an HTM
 /// transaction with retry, allocation/free, and a mid-run barrier.
-/// `os_threads` forces the OS-thread scheduler instead of the default
-/// fiber scheduler (where fibers are supported). `heartbeat` attaches a
-/// benign no-op component — the fingerprint must not move.
+/// `threads` runs it on the thread link instead of the default one.
+/// `heartbeat` attaches a benign no-op component — the fingerprint must
+/// not move.
 fn fixed_workload_full(
     cores: usize,
     dual_socket: bool,
-    os_threads: bool,
+    threads: bool,
+    fast_path: bool,
     heartbeat: bool,
 ) -> RunReport {
     let mut cfg = if dual_socket {
@@ -69,7 +73,7 @@ fn fixed_workload_full(
     };
     cfg.delay_jitter_pct = 0;
     cfg.spurious_abort_prob = 0.0;
-    cfg.os_thread_scheduler = os_threads;
+    cfg.fast_path = fast_path;
     if heartbeat {
         cfg.components.push(ComponentSpec::Heartbeat {
             period: 61,
@@ -141,27 +145,69 @@ fn fixed_workload_full(
             }) as Program
         })
         .collect();
-    let s2 = Arc::clone(&shared);
-    Machine::new(cfg).run(
-        Box::new(move |ctx| {
-            let a = ctx.alloc(8);
-            for k in 0..8 {
-                ctx.write(a + k, k);
-            }
-            s2.store(a, SeqCst);
-        }),
-        programs,
-    )
+    run(cfg, threads, programs, &shared)
 }
 
-/// The fixture without components attached.
-fn fixed_workload_on(cores: usize, dual_socket: bool, os_threads: bool) -> RunReport {
-    fixed_workload_full(cores, dual_socket, os_threads, false)
+/// Runs `programs` after a setup that allocates and initializes the
+/// eight shared words they find through `shared`, on the thread link
+/// when `threads` is set.
+fn run(
+    cfg: MachineConfig,
+    threads: bool,
+    programs: Vec<Program>,
+    shared: &Arc<AtomicU64>,
+) -> RunReport {
+    let s2 = Arc::clone(shared);
+    let setup: Program = Box::new(move |ctx| {
+        let a = ctx.alloc(8);
+        for k in 0..8 {
+            ctx.write(a + k, k);
+        }
+        s2.store(a, SeqCst);
+    });
+    let mut machine = Machine::new(cfg);
+    if threads {
+        run_on_threads(&mut machine, setup, programs)
+    } else {
+        machine.run(setup, programs)
+    }
 }
 
-/// The fixture on the default scheduler (fibers on x86_64).
+/// The fixture without components attached, fast path on.
+fn fixed_workload_on(cores: usize, dual_socket: bool, threads: bool) -> RunReport {
+    fixed_workload_full(cores, dual_socket, threads, true, false)
+}
+
+/// The fixture on the default link (fibers on x86_64).
 fn fixed_workload(cores: usize, dual_socket: bool) -> RunReport {
     fixed_workload_on(cores, dual_socket, false)
+}
+
+/// Asserts that the fixture matches `golden` under `fp` on both links,
+/// with the fast path on and off.
+fn assert_golden_everywhere(
+    cores: usize,
+    dual_socket: bool,
+    fp: fn(&RunReport) -> String,
+    golden: &str,
+) {
+    for threads in [false, true] {
+        for fast_path in [true, false] {
+            let got = fp(&fixed_workload_full(
+                cores,
+                dual_socket,
+                threads,
+                fast_path,
+                false,
+            ));
+            assert_eq!(
+                normalize(&got),
+                normalize(golden),
+                "{cores}-core fixture (dual_socket={dual_socket}) diverged from its golden \
+                 (threads={threads} fast_path={fast_path})"
+            );
+        }
+    }
 }
 
 /// Golden fingerprints captured from the seed (mpsc-channel) scheduler.
@@ -204,27 +250,11 @@ fn fingerprint_wide(r: &RunReport) -> String {
     format!("end={} {}{}", r.end_time, folded, rest)
 }
 
+/// Both links must hold the golden at paper scale, not just on the
+/// small fixtures — the thread link serves 89 real threads here.
 #[test]
 fn matches_golden_88_core_dual_socket() {
-    let fp = fingerprint_wide(&fixed_workload(88, true));
-    assert_eq!(
-        normalize(&fp),
-        normalize(GOLDEN_88_DUAL),
-        "88-core dual-socket fixture diverged from its golden"
-    );
-}
-
-/// Both schedulers must agree at paper scale, not just on the small
-/// fixtures — the OS-thread scheduler hands the token through 89 real
-/// threads here.
-#[test]
-fn os_thread_scheduler_matches_88_core_golden() {
-    let fp = fingerprint_wide(&fixed_workload_on(88, true, true));
-    assert_eq!(
-        normalize(&fp),
-        normalize(GOLDEN_88_DUAL),
-        "OS-thread scheduler diverged from the 88-core golden"
-    );
+    assert_golden_everywhere(88, true, fingerprint_wide, GOLDEN_88_DUAL);
 }
 
 #[test]
@@ -245,53 +275,24 @@ fn repeated_dual_socket_runs_are_identical() {
 
 #[test]
 fn matches_seed_scheduler_golden_single_socket() {
-    let fp = fingerprint(&fixed_workload(4, false));
-    assert_eq!(
-        normalize(&fp),
-        normalize(GOLDEN_4_SINGLE),
-        "single-socket fixture diverged from the seed scheduler's results"
-    );
+    assert_golden_everywhere(4, false, fingerprint, GOLDEN_4_SINGLE);
 }
 
 #[test]
 fn matches_seed_scheduler_golden_dual_socket() {
-    let fp = fingerprint(&fixed_workload(6, true));
-    assert_eq!(
-        normalize(&fp),
-        normalize(GOLDEN_6_DUAL),
-        "dual-socket fixture diverged from the seed scheduler's results"
-    );
+    assert_golden_everywhere(6, true, fingerprint, GOLDEN_6_DUAL);
 }
 
-/// The OS-thread (token-passing) scheduler must reproduce the same
-/// goldens as the default fiber scheduler: the two are interchangeable
-/// down to the bit.
+/// Belt and braces: run both links side by side and compare the full
+/// fingerprints directly (not just against the stored goldens).
 #[test]
-fn os_thread_scheduler_matches_goldens() {
-    let fp = fingerprint(&fixed_workload_on(4, false, true));
-    assert_eq!(
-        normalize(&fp),
-        normalize(GOLDEN_4_SINGLE),
-        "OS-thread scheduler diverged from the golden results"
-    );
-    let fp = fingerprint(&fixed_workload_on(6, true, true));
-    assert_eq!(
-        normalize(&fp),
-        normalize(GOLDEN_6_DUAL),
-        "OS-thread scheduler diverged from the golden results (dual socket)"
-    );
-}
-
-/// Belt and braces: run both schedulers side by side and compare the
-/// full fingerprints directly (not just against the stored goldens).
-#[test]
-fn schedulers_agree_with_each_other() {
+fn links_agree_with_each_other() {
     for &(cores, dual) in &[(2usize, false), (5, false), (6, true)] {
         let fibers = fingerprint(&fixed_workload_on(cores, dual, false));
         let threads = fingerprint(&fixed_workload_on(cores, dual, true));
         assert_eq!(
             fibers, threads,
-            "fiber and OS-thread schedulers diverged at cores={cores} dual={dual}"
+            "fiber and thread links diverged at cores={cores} dual={dual}"
         );
     }
 }
@@ -302,34 +303,34 @@ fn schedulers_agree_with_each_other() {
 /// This is the component spine's central determinism claim.
 #[test]
 fn benign_component_matches_component_free_goldens() {
-    let fp = fingerprint(&fixed_workload_full(4, false, false, true));
+    let fp = fingerprint(&fixed_workload_full(4, false, false, true, true));
     assert_eq!(
         normalize(&fp),
         normalize(GOLDEN_4_SINGLE),
         "a no-op heartbeat component perturbed the single-socket golden"
     );
-    let fp = fingerprint(&fixed_workload_full(6, true, true, true));
+    let fp = fingerprint(&fixed_workload_full(6, true, true, true, true));
     assert_eq!(
         normalize(&fp),
         normalize(GOLDEN_6_DUAL),
-        "a no-op heartbeat component perturbed the dual-socket golden (OS threads)"
+        "a no-op heartbeat component perturbed the dual-socket golden (thread link)"
     );
 }
 
 /// The fixture under a randomized machine configuration derived from
 /// `seed`, with every RNG-consuming fault knob live: delay jitter,
 /// spurious aborts, scheduler perturbation, and a transactional capacity
-/// limit. Cross-scheduler bit-identity must survive all of them, because
-/// the shared-`Sim` RNG is consumed in submit order — which both
-/// schedulers produce identically.
-fn randomized_faulty_workload_on(seed: u64, os_threads: bool) -> RunReport {
-    randomized_faulty_workload_full(seed, os_threads, false)
+/// limit. Cross-link bit-identity must survive all of them, because the
+/// `Sim` RNG is consumed in submit order — which the one pump fixes for
+/// both links.
+fn randomized_faulty_workload_on(seed: u64, threads: bool) -> RunReport {
+    randomized_faulty_workload_full(seed, threads, false)
 }
 
 /// As above, optionally with a benign heartbeat component attached
 /// *after* the RNG-derived knobs, so the config derivation stream is
 /// untouched and the fingerprint must match the component-free run.
-fn randomized_faulty_workload_full(seed: u64, os_threads: bool, heartbeat: bool) -> RunReport {
+fn randomized_faulty_workload_full(seed: u64, threads: bool, heartbeat: bool) -> RunReport {
     let mut rng = simrng::SimRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xd1f7);
     let cores = rng.gen_range_inclusive(2, 6) as usize;
     let dual = rng.gen_bool(0.4);
@@ -350,7 +351,6 @@ fn randomized_faulty_workload_full(seed: u64, os_threads: bool, heartbeat: bool)
     };
     cfg.microarch_fix = rng.gen_bool(0.5);
     cfg.seed = rng.next_u64();
-    cfg.os_thread_scheduler = os_threads;
     if heartbeat {
         cfg.components.push(ComponentSpec::Heartbeat {
             period: 97,
@@ -387,30 +387,20 @@ fn randomized_faulty_workload_full(seed: u64, os_threads: bool, heartbeat: bool)
             }) as Program
         })
         .collect();
-    let s2 = Arc::clone(&shared);
-    Machine::new(cfg).run(
-        Box::new(move |ctx| {
-            let a = ctx.alloc(8);
-            for k in 0..8 {
-                ctx.write(a + k, k);
-            }
-            s2.store(a, SeqCst);
-        }),
-        programs,
-    )
+    run(cfg, threads, programs, &shared)
 }
 
-/// Differential fuzz across schedulers: 32 random seeds, all fault knobs
-/// active, fiber vs OS-thread fingerprints must be identical — the
+/// Differential fuzz across links: 32 random seeds, all fault knobs
+/// active, fiber vs thread-link fingerprints must be identical — the
 /// simfuzz harness depends on this to make its artifacts
-/// scheduler-independent. Each seed additionally runs with a benign
-/// heartbeat component attached (fiber scheduler), which must match the
+/// link-independent. Each seed additionally runs with a benign
+/// heartbeat component attached (default link), which must match the
 /// component-free fingerprint byte for byte. Each seed's fingerprint
 /// triple is one job on a `runner` pool; since every seed builds its own
 /// `Machine`, the seeds are independent and the pool's submission-order
 /// merge reports the *lowest* diverging seed whatever finishes first.
 #[test]
-fn schedulers_agree_on_randomized_fault_injection_workloads() {
+fn links_agree_on_randomized_fault_injection_workloads() {
     let tasks: Vec<_> = (0..32u64)
         .map(|seed| {
             move || {
@@ -426,7 +416,7 @@ fn schedulers_agree_on_randomized_fault_injection_workloads() {
     for (seed, (fibers, threads, with_comp)) in triples.iter().enumerate() {
         assert_eq!(
             fibers, threads,
-            "fiber and OS-thread schedulers diverged at fault seed {seed}"
+            "fiber and thread links diverged at fault seed {seed}"
         );
         assert_eq!(
             fibers, with_comp,

@@ -11,6 +11,7 @@
 //! two configurations legitimately disagree on.
 
 use absmem::ThreadCtx;
+use coherence::machine::testhooks::run_on_threads;
 use coherence::sim::{OpKind, OpOutcome, Sim};
 use coherence::{Machine, MachineConfig, Program, RunReport, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -74,9 +75,9 @@ fn trace_digest(r: &RunReport) -> u64 {
 
 /// The determinism fixture's mixed workload (contended FAA/CAS, shared
 /// reads, private writes, an HTM transaction with retry, a barrier),
-/// parameterized over the fast-path knob and scheduler, with the full
+/// parameterized over the fast-path knob and the link, with the full
 /// trace recorded.
-fn fixture(cores: usize, dual_socket: bool, fast_path: bool, os_threads: bool) -> RunReport {
+fn fixture(cores: usize, dual_socket: bool, fast_path: bool, threads: bool) -> RunReport {
     let mut cfg = if dual_socket {
         MachineConfig::dual_socket(cores.div_ceil(2))
     } else {
@@ -85,7 +86,6 @@ fn fixture(cores: usize, dual_socket: bool, fast_path: bool, os_threads: bool) -
     cfg.delay_jitter_pct = 0;
     cfg.spurious_abort_prob = 0.0;
     cfg.fast_path = fast_path;
-    cfg.os_thread_scheduler = os_threads;
     cfg.trace = true;
     let shared = Arc::new(AtomicU64::new(0));
     let programs: Vec<Program> = (0..cores)
@@ -152,33 +152,36 @@ fn fixture(cores: usize, dual_socket: bool, fast_path: bool, os_threads: bool) -
         })
         .collect();
     let s2 = Arc::clone(&shared);
-    Machine::new(cfg).run(
-        Box::new(move |ctx| {
-            let a = ctx.alloc(8);
-            for k in 0..8 {
-                ctx.write(a + k, k);
-            }
-            s2.store(a, SeqCst);
-        }),
-        programs,
-    )
+    let setup: Program = Box::new(move |ctx| {
+        let a = ctx.alloc(8);
+        for k in 0..8 {
+            ctx.write(a + k, k);
+        }
+        s2.store(a, SeqCst);
+    });
+    let mut machine = Machine::new(cfg);
+    if threads {
+        run_on_threads(&mut machine, setup, programs)
+    } else {
+        machine.run(setup, programs)
+    }
 }
 
 /// The golden fixtures must be byte-identical — histories, end-times, and
-/// trace digests — with the fast path on and off, on both schedulers.
+/// trace digests — with the fast path on and off, on both links.
 #[test]
 fn goldens_identical_with_fast_path_on_and_off() {
     // 88 cores = the paper's dual-socket machine; the fast path must
     // stay invisible at full scale, not just on the small fixtures.
     for &(cores, dual) in &[(4usize, false), (6, true), (88, true)] {
-        for &os_threads in &[false, true] {
-            let on = fixture(cores, dual, true, os_threads);
-            let off = fixture(cores, dual, false, os_threads);
+        for &threads in &[false, true] {
+            let on = fixture(cores, dual, true, threads);
+            let off = fixture(cores, dual, false, threads);
             assert_eq!(
                 fingerprint(&on),
                 fingerprint(&off),
                 "fast path diverged from the slow reference at cores={cores} dual={dual} \
-                 os_threads={os_threads}"
+                 threads={threads}"
             );
             assert_eq!(
                 on.stats.fastpath_hits + off.stats.fastpath_hits,
@@ -343,12 +346,7 @@ fn fuzz_slice_identical_with_fast_path_on_and_off() {
 /// violation.
 #[test]
 fn lagging_submission_never_schedules_into_the_past() {
-    let mut cfg = MachineConfig::single_socket(2);
-    // This test exercises the fast path itself; pin the knob on so the
-    // SBQ_FAST_PATH=0 CI job doesn't turn it into a slow-path run.
-    cfg.fast_path = true;
-    let cfg = Arc::new(cfg);
-    let mut sim = Sim::new(cfg);
+    let mut sim = Sim::new(Arc::new(MachineConfig::single_socket(2)));
     let addr = 0x40;
 
     // Cold FAA: full protocol round trip, advances the clock well past 0.

@@ -65,7 +65,7 @@ fn machine_176_cores_fits_the_stack_budget() {
     let old_budget = 177u64 * (1 << 20);
     assert!(
         report.stats.stack_bytes_total > 0,
-        "fiber scheduler reported no stack footprint"
+        "fiber link reported no stack footprint"
     );
     assert!(
         report.stats.stack_bytes_total * 8 <= old_budget,
@@ -83,7 +83,7 @@ fn machine_176_cores_fits_the_stack_budget() {
 fn measured_stack_high_water_fits_the_default() {
     let mut cfg = MachineConfig::dual_socket(4);
     cfg.measure_stacks = true;
-    let budget = cfg.fiber_stack as u64;
+    let budget = coherence::fiber::DEFAULT_STACK as u64;
     let report = striped_workload(cfg);
     let hwm = report.stats.stack_high_water;
     assert!(hwm > 0, "canary scan found no dirtied stack at all");
@@ -107,7 +107,7 @@ fn single_socket_runs_count_no_cross_hops() {
     assert_eq!(report.stats.dir_hops_cross, 0);
 }
 
-/// Under the `Fixed` policy every directory leg lands on `home_socket`,
+/// Under the `Fixed` policy every directory leg lands on socket 0,
 /// so socket-1 cores pay cross-socket hops for their own private lines.
 /// `FirstTouch` homes each stripe where its owner runs, eliminating
 /// every cross hop for this share-nothing workload.

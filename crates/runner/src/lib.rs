@@ -1,7 +1,7 @@
 //! # runner — parallel experiment job pool with deterministic merge
 //!
 //! Every experiment layer in this tree (figure sweeps, load-sweep rate
-//! points, fuzz campaign seeds, cross-scheduler differential runs) is a
+//! points, fuzz campaign seeds, cross-link differential runs) is a
 //! list of *independent* jobs: each one spins up its own `Machine` or
 //! native-backend run and shares nothing with its neighbours. This crate
 //! fans such a list across `jobs` OS threads while keeping the observable
