@@ -295,12 +295,16 @@ mod tests {
     /// A painted stack reports a high-water mark that tracks actual use.
     #[test]
     fn paint_reports_high_water() {
+        // Each frame must really hold its 64-byte `pad` across the
+        // recursive call: its contents come out of `black_box`, and its
+        // address goes back in after the call, so release codegen can
+        // neither fold it to a constant nor keep it in registers.
         fn burn(n: u64) -> u64 {
-            let pad = [n; 8];
+            let pad = std::hint::black_box([n; 8]);
             if n == 0 {
                 pad[0]
             } else {
-                burn(n - 1) + std::hint::black_box(pad[7])
+                burn(n - 1) + std::hint::black_box(&pad)[7]
             }
         }
         let main_ctx = Rc::new(Cell::new(std::ptr::null_mut::<u8>()));

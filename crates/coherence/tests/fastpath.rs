@@ -13,7 +13,7 @@
 use absmem::ThreadCtx;
 use coherence::machine::testhooks::run_on_threads;
 use coherence::sim::{OpKind, OpOutcome, Sim};
-use coherence::{Machine, MachineConfig, Program, RunReport, SimCtx};
+use coherence::{ComponentSpec, HomePolicy, Machine, MachineConfig, Program, RunReport, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -259,6 +259,27 @@ fn randomized_workload(seed: u64, fast_path: bool) -> RunReport {
     cfg.microarch_fix = rng.gen_bool(0.5);
     cfg.mesi_exclusive = rng.gen_bool(0.5);
     cfg.seed = rng.next_u64();
+    // Drawn after every older knob, so each seed keeps its earlier
+    // machine and only gains these: NUMA homes, an interrupt source
+    // (aborts that land between a transactional op's submission and its
+    // issue) and occupancy-free directories.
+    cfg.home_policy = match rng.gen_range_inclusive(0, 2) {
+        0 => HomePolicy::Fixed,
+        1 => HomePolicy::Interleave,
+        _ => HomePolicy::FirstTouch,
+    };
+    if rng.gen_bool(0.5) {
+        cfg.components.push(ComponentSpec::Interrupt {
+            period: rng.gen_range_inclusive(30, 399),
+            start: rng.gen_range_inclusive(0, 299),
+            cost: rng.gen_range_inclusive(0, 59),
+            victim: None,
+        });
+    }
+    if rng.gen_range_inclusive(0, 2) == 0 {
+        cfg.dir_occupancy = 0;
+        cfg.cache_occupancy = rng.gen_range_inclusive(0, 2);
+    }
     cfg.fast_path = fast_path;
     cfg.trace = true;
 
@@ -312,13 +333,13 @@ fn randomized_workload(seed: u64, fast_path: bool) -> RunReport {
     )
 }
 
-/// Differential fuzz slice: 32 random machine configurations and
+/// Differential fuzz slice: 128 random machine configurations and
 /// workloads, fast path on vs off, byte-identical fingerprints (including
 /// the trace digest). Parallel over a `runner` pool; each seed builds its
 /// own `Machine`, so the seeds are independent.
 #[test]
 fn fuzz_slice_identical_with_fast_path_on_and_off() {
-    let tasks: Vec<_> = (0..32u64)
+    let tasks: Vec<_> = (0..128u64)
         .map(|seed| {
             move || {
                 (

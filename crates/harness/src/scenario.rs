@@ -105,6 +105,24 @@ impl ScenarioSpec {
             trace: false,
         }
     }
+
+    /// Checks the counts a run needs to be nonzero, returning a
+    /// diagnostic for the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.workers == 0 {
+            return Err("scenario needs at least one worker".into());
+        }
+        if self.ops == 0 {
+            return Err("scenario needs at least one op per worker".into());
+        }
+        if self.period == 0 {
+            return Err("component periods must be nonzero".into());
+        }
+        if self.family == ActorFamily::Dma && self.batch == 0 {
+            return Err("dma burst size must be nonzero".into());
+        }
+        Ok(())
+    }
 }
 
 /// Result of one scenario run.
@@ -141,9 +159,9 @@ fn queue_params(threads: usize) -> QueueParams {
 /// actor thread (Timer consumer / Dma enqueuer) always runs last, as
 /// thread id `workers`.
 fn stage(spec: &ScenarioSpec) -> (MachineConfig, Vec<Vec<bool>>, Vec<u64>) {
-    assert!(spec.workers > 0, "scenario needs at least one worker");
-    assert!(spec.ops > 0, "scenario needs at least one op per worker");
-    assert!(spec.period > 0, "component periods must be nonzero");
+    if let Err(e) = spec.validate() {
+        panic!("invalid scenario spec: {e}");
+    }
     let (threads, ops, pace, comp) = match spec.family {
         ActorFamily::Preempt => (
             spec.workers,
@@ -182,7 +200,6 @@ fn stage(spec: &ScenarioSpec) -> (MachineConfig, Vec<Vec<bool>>, Vec<u64>) {
         ActorFamily::Dma => {
             // The bulk enqueuer emits one `batch`-element burst per gate
             // firing on a divided clock; workers consume.
-            assert!(spec.batch > 0, "dma burst size must be nonzero");
             let total = spec.workers as u64 * spec.ops;
             let bursts = total.div_ceil(spec.batch);
             let gate_period = spec.period * spec.divider.max(1);

@@ -5,8 +5,10 @@
 //!
 //! Every subcommand shares one grammar: a few positional arguments
 //! followed by `key=value` pairs. A pair that is not `key=value`, a
-//! repeated key, a key the subcommand does not take, or a value that
-//! does not parse prints the usage text and exits 2.
+//! repeated key, a key the subcommand does not take, a value that does
+//! not parse, or a count too small to run (zero threads, workers, ops,
+//! basket or rate; a `mixed` run on fewer than two threads) prints the
+//! usage text and exits 2.
 //!
 //! ```text
 //! simctl <queue> <workload> <threads> [key=value ...]
@@ -204,7 +206,8 @@ usage:
       this text
 
 Arguments are positional first, then key=value pairs; a malformed,
-repeated or unknown key exits 2. See the module docs in
+repeated or unknown key, or a zero count, exits 2 (`mixed` needs at
+least 2 threads). See the module docs in
 src/bin/simctl.rs for every key's meaning.";
 
 /// An argument error: `main` prints it with the usage text and exits 2.
@@ -313,6 +316,15 @@ fn parse_run_spec(args: &[String]) -> Res<(RunSpec, Keys)> {
     let threads: usize = pos[2]
         .parse()
         .map_err(|_| format!("bad thread count `{}`", pos[2]))?;
+    // A mixed run splits its threads into producers and consumers; with
+    // fewer than two, a lone consumer would spin on an empty queue.
+    let min_threads = if kind == WorkloadKind::Mixed { 2 } else { 1 };
+    if threads < min_threads {
+        return Err(format!(
+            "workload `{}` needs at least {min_threads} thread(s)",
+            pos[1]
+        ));
+    }
 
     let mut w = paper_workload(kind, threads, keys.num("ops")?.unwrap_or(200));
     let backend = keys
@@ -325,6 +337,9 @@ fn parse_run_spec(args: &[String]) -> Res<(RunSpec, Keys)> {
         w.qp.delay_cycles = delay;
     }
     if let Some(basket) = keys.num("basket")? {
+        if basket == 0 {
+            return Err("basket must be positive".into());
+        }
         w.qp.basket_capacity = basket;
         w.qp.enqueuers = w.qp.enqueuers.min(basket);
     }
@@ -633,7 +648,10 @@ fn load_main(args: &[String]) -> Res<()> {
     let backend = keys
         .get("backend", BackendKind::parse)?
         .unwrap_or(BackendKind::Sim);
-    let rates = keys.list("rates")?;
+    let rates: Option<Vec<u64>> = keys.list("rates")?;
+    if rates.as_ref().is_some_and(|r| r.contains(&0)) {
+        return Err("every rate in `rates` must be positive".into());
+    }
     let slo_p99_ns = keys.num("slo-p99")?.unwrap_or(0.0);
     let depth_slo = keys.num("depth-slo")?.unwrap_or(0);
     let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(1));
@@ -796,6 +814,7 @@ fn scenario_main(args: &[String]) -> Res<()> {
     let out = keys.str("out");
     let trace_out = keys.str("trace-out");
     keys.finish()?;
+    spec.validate()?;
     spec.trace = trace_out.is_some();
 
     let outcome = run_scenario(&spec);
