@@ -1,6 +1,8 @@
-//! The component spine: every time-evolving actor in the machine —
-//! cores, the directory, and non-core devices — is a [`Component`]
-//! scheduled on the simulator's slab-backed calendar wheel.
+//! The component spine: every time-evolving actor outside the coherence
+//! protocol — an interrupt source, a timer, a DMA engine — is a
+//! [`Component`] scheduled on the simulator's slab-backed calendar wheel.
+//! Cores and the directory are not components: their work is the
+//! message and issue events the protocol already schedules.
 //!
 //! The shape follows the classic embedded-emulator architecture: a
 //! component exposes `next_tick` (the absolute time it next wants to
@@ -22,11 +24,7 @@
 //! machine state — so attaching a component that takes no action (a
 //! [`Heartbeat`]) leaves every thread-visible value, message, and resume
 //! time of a run unchanged, and attaching none at all leaves the event
-//! stream byte-identical to the pre-component simulator. The built-in
-//! actors below are intentionally *fused*: the core pipeline and the
-//! directory are message-driven (their "ticks" are the Deliver/IssueOp
-//! events the protocol already schedules), so their `next_tick` is
-//! `None` and they never occupy wheel slots of their own.
+//! stream byte-identical to the pre-component simulator.
 
 use crate::config::ComponentSpec;
 use crate::sim::CompCtx;
@@ -36,74 +34,16 @@ pub trait Component {
     /// Short stable name, used for trace tracks and assertion messages.
     fn name(&self) -> &'static str;
 
-    /// Absolute time of this component's next tick, or `None` if it has
-    /// none (finished, or purely event-driven like the built-in cores).
-    /// Called once at registration (with `now == 0`) and again after
-    /// every `tick`; a returned time must be `> now` on reschedule.
+    /// Absolute time of this component's next tick, or `None` once it
+    /// has finished. Called once at registration (with `now == 0`) and
+    /// again after every `tick`; a returned time must be `> now` on
+    /// reschedule.
     fn next_tick(&self, now: u64) -> Option<u64>;
 
     /// Runs the component at its scheduled time. `ctx` exposes the
     /// deterministic machine surface: clock, core states, interrupt
     /// injection, and tick-gate release.
     fn tick(&mut self, now: u64, ctx: &mut CompCtx<'_>);
-}
-
-/// Component 0: the core pipeline. Cores are event-driven — their
-/// "ticks" are the IssueOp/Deliver/RmwDone/DelayDone events the
-/// protocol schedules — so the component registration is fused: it
-/// never requests a tick of its own, and the hot path stays exactly the
-/// pre-component event dispatch.
-pub struct CoreComplex;
-
-impl Component for CoreComplex {
-    fn name(&self) -> &'static str {
-        "cores"
-    }
-
-    fn next_tick(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn tick(&mut self, _now: u64, _ctx: &mut CompCtx<'_>) {
-        unreachable!("the core complex is message-driven and never ticks");
-    }
-}
-
-/// Component 1: the directory/LLC slice. Like the cores, message-driven
-/// and fused into the Deliver dispatch.
-pub struct DirectoryUnit;
-
-impl Component for DirectoryUnit {
-    fn name(&self) -> &'static str {
-        "dir"
-    }
-
-    fn next_tick(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn tick(&mut self, _now: u64, _ctx: &mut CompCtx<'_>) {
-        unreachable!("the directory is message-driven and never ticks");
-    }
-}
-
-/// Stand-in installed in a component's slot while its `tick` runs (the
-/// component is temporarily moved out so it can borrow the simulator
-/// mutably through [`CompCtx`]).
-pub(crate) struct Tombstone;
-
-impl Component for Tombstone {
-    fn name(&self) -> &'static str {
-        "tombstone"
-    }
-
-    fn next_tick(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn tick(&mut self, _now: u64, _ctx: &mut CompCtx<'_>) {
-        unreachable!("a component ticked re-entrantly while its own tick was running");
-    }
 }
 
 /// Periodic preemption/interrupt source (`ComponentSpec::Interrupt`): the

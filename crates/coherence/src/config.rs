@@ -196,8 +196,9 @@ pub struct MachineConfig {
     /// Record a full message/transaction trace (costly; for the Figure 2/3
     /// reproductions and debugging).
     pub trace: bool,
-    /// Verify protocol invariants (single-writer/multi-reader, dir/cache
-    /// agreement) after every event. On by default in debug builds.
+    /// Check the single-writer/multi-reader invariant (at most one M/E
+    /// holder per line) by scanning every cache's lines once every 64
+    /// events. On by default in debug builds.
     pub check_invariants: bool,
     /// Non-core actors to place on the component spine (interrupt
     /// sources, tick gates, heartbeats — see [`ComponentSpec`]). Empty by

@@ -1,4 +1,4 @@
-//! Per-core cache state: the line states and transactional marks, the
+//! Per-core cache state: the line states and transactional write marks, the
 //! outstanding coherence requests, and the running transaction.
 
 use super::{LineId, OpKind};
@@ -10,7 +10,7 @@ use crate::msg::Msg;
 /// the first few inserts and iterates in deterministic (insertion) order.
 #[derive(Debug, Default)]
 pub(super) struct LineSet {
-    pub(super) lines: Vec<LineId>,
+    lines: Vec<LineId>,
 }
 
 impl LineSet {
@@ -59,14 +59,12 @@ impl CState {
 }
 
 /// Per-line flag byte layout (see [`Cache::flags`]): the two state bits
-/// plus the transactional read/write marks.
+/// plus the transactional write mark.
 pub(super) const F_STATE: u8 = 0b0011;
-/// Line is in the running transaction's read set.
-pub(super) const F_TR: u8 = 0b0100;
 /// Line is in the running transaction's write set with the write applied
 /// (`values` holds the transactional, uncommitted datum; `cleans` the
 /// pre-transaction one).
-pub(super) const F_TW: u8 = 0b1000;
+pub(super) const F_TW: u8 = 0b0100;
 
 #[inline]
 pub(super) fn decode_state(flags: u8) -> CState {
@@ -152,8 +150,8 @@ pub(super) enum OpState {
 #[derive(Debug)]
 pub(super) struct Cache {
     /// Per-line flag byte, indexed by [`LineId`]: bits 0–1 the
-    /// [`CState`], bit 2 `F_TR`, bit 3 `F_TW`. Lines beyond the vector
-    /// are Invalid with no marks.
+    /// [`CState`], bit 2 `F_TW`. Lines beyond the vector are Invalid with
+    /// no mark. The read set is kept only in [`Txn::read_set`].
     pub(super) flags: Vec<u8>,
     /// Per-line current value (transactional, uncommitted datum while
     /// `F_TW` is set).
@@ -170,12 +168,9 @@ pub(super) struct Cache {
     pub(super) deferred: Option<OpKind>,
     pub(super) deferred_line: LineId,
     /// Coherence requests stalled behind a pending request / executing RMW
-    /// / committing transaction. Appended in arrival order, so the vector
-    /// order *is* stamp order; releases replay unblocked messages in that
-    /// order, matching the arrival-ordered queue this replaces.
-    pub(super) stalled: Vec<(u64, LineId, Msg)>,
-    /// Arrival counter feeding the stamps in `stalled`.
-    pub(super) stall_stamp: u64,
+    /// / committing transaction, in arrival order; releases replay
+    /// unblocked messages in that order.
+    pub(super) stalled: Vec<(LineId, Msg)>,
     /// An RMW is executing (between data arrival and `RmwDone`): incoming
     /// Fwd requests must wait (§3.2).
     pub(super) rmw_busy: bool,
@@ -208,7 +203,6 @@ impl Cache {
             deferred: None,
             deferred_line: 0,
             stalled: Vec::new(),
-            stall_stamp: 0,
             rmw_busy: false,
             rmw_line: 0,
             txn: None,
@@ -254,15 +248,18 @@ impl Cache {
         self.flags.get(line as usize).copied().unwrap_or(0) & bit != 0
     }
 
-    #[inline]
-    pub(super) fn set_flag(&mut self, line: LineId, bit: u8, on: bool) {
-        self.ensure(line);
-        let f = &mut self.flags[line as usize];
-        if on {
-            *f |= bit;
-        } else {
-            *f &= !bit;
+    /// Buffers a transactional write of `v` to the owned `line` (§3.3):
+    /// the line becomes Modified (a silent upgrade from E), the first
+    /// write in the transaction saves the pre-transaction value for
+    /// rollback, and `F_TW` marks the value uncommitted.
+    pub(super) fn tx_write(&mut self, line: LineId, v: u64) {
+        self.set_state(line, CState::Modified);
+        let i = line as usize;
+        if self.flags[i] & F_TW == 0 {
+            self.cleans[i] = self.values[i];
+            self.flags[i] |= F_TW;
         }
+        self.values[i] = v;
     }
 
     /// The line of the request the thread is currently blocked on, if any.
@@ -305,11 +302,30 @@ impl Cache {
             .is_some_and(|t| t.write_set.contains(line))
     }
 
-    /// Files `msg` in the stalled queue, stamped with the per-cache
-    /// arrival counter.
+    /// Ends the running transaction: clears its write marks — restoring
+    /// the pre-transaction values first if `rollback` (an abort) — and
+    /// keeps the set storage for the next `xbegin`. Returns the nesting
+    /// depth it ended at, or `None` outside a transaction.
+    pub(super) fn end_txn(&mut self, rollback: bool) -> Option<u32> {
+        let mut t = self.txn.take()?;
+        for &line in t.write_set.iter() {
+            let i = line as usize;
+            if i < self.flags.len() && self.flags[i] & F_TW != 0 {
+                if rollback {
+                    self.values[i] = self.cleans[i];
+                }
+                self.flags[i] &= !F_TW;
+            }
+        }
+        let depth = t.depth;
+        t.read_set.clear();
+        t.write_set.clear();
+        self.txn_spare = Some(t);
+        Some(depth)
+    }
+
+    /// Files `msg` at the back of the stalled queue.
     pub(super) fn stall(&mut self, line: LineId, msg: Msg) {
-        self.stall_stamp += 1;
-        let stamp = self.stall_stamp;
-        self.stalled.push((stamp, line, msg));
+        self.stalled.push((line, msg));
     }
 }

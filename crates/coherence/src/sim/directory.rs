@@ -57,7 +57,7 @@ struct DirEntry {
     state: DirState,
     mem: u64,
     /// Requests that arrived during a transient state, replayed in order.
-    queued: VecDeque<(usize, Msg)>,
+    queued: VecDeque<Msg>,
 }
 
 impl Default for DirEntry {
@@ -110,7 +110,7 @@ impl Sim {
         // Queue behind a transient state (except the writeback that
         // resolves it).
         if matches!(e.state, DirState::AwaitWb(_)) && !matches!(msg, Msg::WbData { .. }) {
-            e.queued.push_back((from, msg));
+            e.queued.push_back(msg);
             return;
         }
         self.dir_dispatch(from, line, msg);
@@ -118,55 +118,27 @@ impl Sim {
 
     fn dir_dispatch(&mut self, from: usize, line: LineId, msg: Msg) {
         let addr = msg.line();
+        let e = self.dir.entry(line);
+        let mem = e.mem;
         match msg {
             Msg::GetS { .. } => {
-                let e = self.dir.entry(line);
                 // Move the state out instead of cloning it; every arm
                 // writes the successor state back.
-                match std::mem::replace(&mut e.state, DirState::Invalid) {
+                let excl = match std::mem::replace(&mut e.state, DirState::Invalid) {
                     DirState::Invalid => {
-                        let v = e.mem;
-                        if self.cfg.mesi_exclusive {
-                            // Sole reader: grant Exclusive (MESI-E).
-                            e.state = DirState::Exclusive(from);
-                            self.send(
-                                Node::Dir,
-                                Node::Core(from),
-                                Msg::Data {
-                                    line: addr,
-                                    value: v,
-                                    acks: 0,
-                                    excl: true,
-                                },
-                            );
+                        // Sole reader: grant Exclusive under MESI-E.
+                        let excl = self.cfg.mesi_exclusive;
+                        e.state = if excl {
+                            DirState::Exclusive(from)
                         } else {
-                            e.state = DirState::Shared(SharerSet::one(from));
-                            self.send(
-                                Node::Dir,
-                                Node::Core(from),
-                                Msg::Data {
-                                    line: addr,
-                                    value: v,
-                                    acks: 0,
-                                    excl: false,
-                                },
-                            );
-                        }
+                            DirState::Shared(SharerSet::one(from))
+                        };
+                        excl
                     }
                     DirState::Shared(mut s) => {
-                        let v = e.mem;
                         s.insert(from);
                         e.state = DirState::Shared(s);
-                        self.send(
-                            Node::Dir,
-                            Node::Core(from),
-                            Msg::Data {
-                                line: addr,
-                                value: v,
-                                acks: 0,
-                                excl: false,
-                            },
-                        );
+                        false
                     }
                     DirState::Exclusive(owner) | DirState::Modified(owner) => {
                         assert_ne!(owner, from, "owner re-requesting GetS");
@@ -179,62 +151,20 @@ impl Sim {
                                 requester: from,
                             },
                         );
+                        return;
                     }
                     DirState::AwaitWb(_) => unreachable!("queued in dir_handle"),
-                }
+                };
+                self.send_data(from, addr, mem, 0, excl);
             }
             Msg::GetM { .. } => {
-                let e = self.dir.entry(line);
-                match std::mem::replace(&mut e.state, DirState::Invalid) {
-                    DirState::Invalid => {
-                        let v = e.mem;
-                        e.state = DirState::Modified(from);
-                        self.send(
-                            Node::Dir,
-                            Node::Core(from),
-                            Msg::Data {
-                                line: addr,
-                                value: v,
-                                acks: 0,
-                                excl: false,
-                            },
-                        );
-                    }
-                    DirState::Shared(s) => {
-                        let v = e.mem;
-                        e.state = DirState::Modified(from);
-                        let acks = s.iter().filter(|&&c| c != from).count() as u64;
-                        // The data response and all invalidations leave
-                        // back-to-back: the concurrency that makes HTM CAS
-                        // failures scale (§3.3). `s` is owned here (moved
-                        // out of the entry), so the fan-out iterates it
-                        // directly — no per-call `others` Vec.
-                        self.send(
-                            Node::Dir,
-                            Node::Core(from),
-                            Msg::Data {
-                                line: addr,
-                                value: v,
-                                acks,
-                                excl: false,
-                            },
-                        );
-                        for &c in s.iter() {
-                            if c != from {
-                                self.send(
-                                    Node::Dir,
-                                    Node::Core(c),
-                                    Msg::Inv {
-                                        line: addr,
-                                        requester: from,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                // An Invalid line is a Shared one with no sharers: no
+                // invalidations, no acks to collect.
+                let sharers = match std::mem::replace(&mut e.state, DirState::Modified(from)) {
+                    DirState::Invalid => SharerSet::default(),
+                    DirState::Shared(s) => s,
                     DirState::Exclusive(owner) | DirState::Modified(owner) => {
                         assert_ne!(owner, from, "owner re-requesting GetM");
-                        e.state = DirState::Modified(from);
                         self.send(
                             Node::Dir,
                             Node::Core(owner),
@@ -243,12 +173,29 @@ impl Sim {
                                 requester: from,
                             },
                         );
+                        return;
                     }
                     DirState::AwaitWb(_) => unreachable!("queued in dir_handle"),
+                };
+                let acks = sharers.iter().filter(|&&c| c != from).count() as u64;
+                // The data response and all invalidations leave
+                // back-to-back: the concurrency that makes HTM CAS
+                // failures scale (§3.3).
+                self.send_data(from, addr, mem, acks, false);
+                for &c in sharers.iter() {
+                    if c != from {
+                        self.send(
+                            Node::Dir,
+                            Node::Core(c),
+                            Msg::Inv {
+                                line: addr,
+                                requester: from,
+                            },
+                        );
+                    }
                 }
             }
             Msg::WbData { value, .. } => {
-                let e = self.dir.entry(line);
                 let DirState::AwaitWb(sharers) = std::mem::replace(&mut e.state, DirState::Invalid)
                 else {
                     panic!("unexpected WbData");
@@ -262,11 +209,27 @@ impl Sim {
                 // re-enter this arm while the scratch is in use.
                 debug_assert!(self.wb_scratch.is_empty());
                 std::mem::swap(&mut self.wb_scratch, &mut e.queued);
-                while let Some((_, m)) = self.wb_scratch.pop_front() {
+                while let Some(m) = self.wb_scratch.pop_front() {
                     self.dir_handle(m);
                 }
             }
             other => panic!("directory cannot handle {other:?}"),
         }
+    }
+
+    /// The directory's data response: `line`'s memory value to core
+    /// `to`, which must collect `acks` invalidation acks before its GetM
+    /// completes; `excl` grants a sole reader MESI Exclusive.
+    fn send_data(&mut self, to: usize, line: u64, value: u64, acks: u64, excl: bool) {
+        self.send(
+            Node::Dir,
+            Node::Core(to),
+            Msg::Data {
+                line,
+                value,
+                acks,
+                excl,
+            },
+        );
     }
 }

@@ -21,7 +21,7 @@ pub(super) enum Event {
     /// Fast-path hit (read, or transactional write on an owned line):
     /// the result was computed and applied at submission; this event
     /// stands in for the `IssueOp` and resumes the thread with the
-    /// configured hit latency. See [`Sim::try_fast_path`].
+    /// configured hit latency. See [`super::Sim::try_fast_path`].
     FastHit { core: usize, result: u64 },
     /// Fast-path RMW/store on an owned line: stands in for the `IssueOp`
     /// and enters `start_rmw` directly — the line is already interned
@@ -134,7 +134,7 @@ impl EventQ {
         }
     }
 
-    pub(super) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -222,7 +222,7 @@ impl EventQ {
 
     /// Time of the earliest event, without removing it. `clock` is the
     /// simulator's current time; no event is ever scheduled in the past.
-    pub(super) fn next_time(&self, clock: u64) -> Option<u64> {
+    fn next_time(&self, clock: u64) -> Option<u64> {
         if self.len == 0 {
             return None;
         }

@@ -1,6 +1,6 @@
 //! The uncontended fast path: local hits decided at submission.
 
-use super::cache::{CState, OpState, Waiter, F_TR, F_TW};
+use super::cache::{CState, OpState, Waiter};
 use super::event::Event;
 use super::{op_line, OpKind, Sim};
 
@@ -39,8 +39,11 @@ impl Sim {
     /// `RmwDone` from inside `start_rmw` at `t` exactly as the slow path
     /// does — every interleaving with other events, stalls, and resumes
     /// is preserved. A hit's effects land at submission instead of at
-    /// `t`; the difference is unobservable because nothing arrives in
-    /// between.
+    /// `t`; the difference is unobservable because no message arrives in
+    /// between. A component interrupt can: it aborts the transaction,
+    /// which rolls the hit's effects back and pends the abort against
+    /// the inbox op on either path, and `FastHit` delivers it at `t` just
+    /// as `begin_op` would.
     pub(super) fn try_fast_path(&mut self, core: usize, at: u64, t: u64, op: OpKind) -> bool {
         let Some(addr) = op_line(&op) else {
             // Delays draw jitter from the RNG; transaction begin/end/abort
@@ -74,44 +77,20 @@ impl Sim {
             let c = &self.caches[core];
             (c.state(line), c.in_txn())
         };
-        // An interrupt component can abort this transaction *between*
-        // submission and the issue time `t` — the one asynchronous event
-        // the non-interference gate cannot exclude, because it arrives by
-        // component tick rather than coherence message. Transactional ops
-        // then must take the slow path, where `begin_op` observes the
-        // pended abort at issue (and fast-path on/off stays bit-exact
-        // under interrupt components).
-        if in_txn && self.has_async_abort {
-            return false;
-        }
-        let cap = self.cfg.tx_capacity_lines;
         // `None` = hit shape (effects applied now, one `FastHit` event);
         // `Some(waiter)` = RMW shape (a `FastRmw` event enters the
-        // ordinary `start_rmw` window at `t`).
+        // ordinary `start_rmw` window at `t`). An op that would
+        // capacity-abort takes the slow path, which aborts it.
         let rmw_waiter: Option<Waiter> = match op {
             OpKind::Read(_) => {
-                if state == CState::Invalid {
+                if state == CState::Invalid || self.txn_overflows(core, line, false) {
                     return false;
-                }
-                if in_txn && cap > 0 {
-                    let tx = self.caches[core].txn.as_ref().unwrap();
-                    let grow = usize::from(!tx.read_set.contains(line));
-                    if tx.read_set.len() + tx.write_set.len() + grow > cap {
-                        return false; // would capacity-abort: slow path
-                    }
                 }
                 None
             }
             OpKind::Write(..) if in_txn => {
-                if !state.writable() {
+                if !state.writable() || self.txn_overflows(core, line, true) {
                     return false;
-                }
-                if cap > 0 {
-                    let tx = self.caches[core].txn.as_ref().unwrap();
-                    let grow = usize::from(!tx.write_set.contains(line));
-                    if tx.read_set.len() + tx.write_set.len() + grow > cap {
-                        return false;
-                    }
                 }
                 None
             }
@@ -159,21 +138,14 @@ impl Sim {
         let c = &mut self.caches[core];
         let result = match op {
             OpKind::Read(_) => {
-                if in_txn {
-                    c.set_flag(line, F_TR, true);
-                    c.txn.as_mut().unwrap().read_set.insert(line);
+                if let Some(t) = &mut c.txn {
+                    t.read_set.insert(line);
                 }
                 c.value(line)
             }
             OpKind::Write(_, v) => {
-                debug_assert!(in_txn);
                 c.txn.as_mut().unwrap().write_set.insert(line);
-                c.set_state(line, CState::Modified);
-                if !c.flag(line, F_TW) {
-                    c.cleans[line as usize] = c.values[line as usize];
-                    c.set_flag(line, F_TW, true);
-                }
-                c.values[line as usize] = v;
+                c.tx_write(line, v);
                 0
             }
             _ => unreachable!("ineligible op admitted to the fast path"),

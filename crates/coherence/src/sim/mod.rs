@@ -8,14 +8,25 @@
 //! * contended atomic RMWs serialize through an owner-to-owner Fwd-GetM
 //!   handoff chain, giving the ≈(C+1)/2-message-delay average latency of
 //!   §3.2;
-//! * HTM transactions mark lines transactional and abort on receipt of a
-//!   conflicting coherence message (requester-wins), so the back-to-back
-//!   invalidations of a single winning GetM abort all read-phase
-//!   transactions *concurrently* (§3.3);
+//! * HTM transactions track read and write sets, buffer their writes, and
+//!   abort on receipt of a conflicting coherence message (requester-wins),
+//!   so the back-to-back invalidations of a single winning GetM abort all
+//!   read-phase transactions *concurrently* (§3.3);
 //! * a Fwd-GetS that reaches a core whose transactional write is still
 //!   waiting for invalidation acks aborts it — the tripped writer (§3.4) —
 //!   unless the §3.4.1 microarchitectural fix is enabled, in which case the
 //!   request is stalled until the commit.
+//!
+//! Each rule has one home among the child modules: `event` orders
+//! everything by `(time, seq)`; this module prices the interconnect
+//! (`send`) and drives the events (`step`); `ops` issues thread ops — a
+//! miss in `issue_miss`, the §3.2 RMW window in `start_rmw`, transaction
+//! begin/commit/abort; `cache` holds per-core state, including the
+//! buffered transactional write (`Cache::tx_write`); `protocol` handles
+//! the messages a cache receives, with every Fwd stall rule in
+//! `on_fwd`; `directory` serializes requests per line; `fastpath` decides
+//! local hits at submission through the same `cache` and capacity
+//! functions; and `spine` runs the configured components.
 //!
 //! ### Commit atomicity
 //!
@@ -32,8 +43,8 @@
 //!
 //! ### State layout and the uncontended fast path
 //!
-//! Line addresses are interned into a dense [`LineId`] arena; everything
-//! keyed per line — cache state/value/transaction flags, the directory —
+//! Line addresses are interned into a dense `LineId` arena; everything
+//! keyed per line — cache state/value/write marks, the directory —
 //! is an arena-indexed array rather than a hash map, so the per-operation
 //! hit check is a couple of indexed loads and a 176-core machine's state
 //! stays cache-resident. On top of that layout, `submit_op` decides
@@ -42,7 +53,7 @@
 //! no directory messages, no inbox traversal, no per-op dispatch —
 //! retires the op at exactly the time and event-sequence position the
 //! full protocol would have used. The admission conditions (see
-//! [`Sim::try_fast_path`]) are chosen so this is provably bit-exact with
+//! `Sim::try_fast_path`) are chosen so this is provably bit-exact with
 //! the full protocol, which remains available as the semantic reference
 //! via `MachineConfig::fast_path = false`.
 
@@ -58,11 +69,11 @@ pub use event::testhooks;
 pub use spine::CompCtx;
 
 use crate::component::{self, Component};
-use crate::config::{ComponentSpec, HomePolicy, MachineConfig};
+use crate::config::{HomePolicy, MachineConfig};
 use crate::fxhash::FxHashMap;
 use crate::msg::{Msg, Node};
 use crate::stats::{Stats, TraceEvent};
-use cache::{decode_state, CState, Cache, OpState};
+use cache::{decode_state, Cache, OpState};
 use directory::Directory;
 use event::{Event, EventQ};
 use simrng::SimRng;
@@ -230,20 +241,14 @@ pub struct Sim {
     /// Minimum one-way hop latency, precomputed for the fast-path gate.
     hop_min: u64,
     /// Reusable buffer for released stalled messages.
-    stall_scratch: Vec<(u64, LineId, Msg)>,
+    stall_scratch: Vec<Msg>,
     /// Reusable buffer for directory-queued request replay.
-    wb_scratch: VecDeque<(usize, Msg)>,
-    /// The component spine (see [`crate::component`]): index 0 is the
-    /// fused core complex, index 1 the directory, then one live actor
-    /// per `MachineConfig::components` spec. Ticks arrive as
-    /// `Event::CompTick` in ordinary `(time, seq)` order.
-    comps: Vec<Box<dyn Component>>,
-    /// True when any configured component can abort a transaction
-    /// asynchronously (an interrupt source). Gates the fast path for
-    /// transactional ops: with an async abort possible between
-    /// submission and issue, they must take the slow path so the abort
-    /// is observed at issue (and fast-path on/off stays bit-exact).
-    has_async_abort: bool,
+    wb_scratch: VecDeque<Msg>,
+    /// The component spine (see [`crate::component`]): one live actor
+    /// per `MachineConfig::components` spec, at the same index. Ticks
+    /// arrive as `Event::CompTick` in ordinary `(time, seq)` order; a
+    /// component is taken out of its slot while it ticks.
+    comps: Vec<Option<Box<dyn Component>>>,
 }
 
 impl Sim {
@@ -251,23 +256,13 @@ impl Sim {
         // +1 for the bootstrap core used by the setup phase.
         let ncaches = cfg.cores + 1;
         let caches = (0..ncaches).map(|c| Cache::new(cfg.socket_of(c))).collect();
-        // The component spine. Cores and the directory are registered
-        // first — they are the built-in, message-driven components whose
-        // ticks are fused into the Deliver/IssueOp dispatch, so they
-        // request no ticks of their own. Configured actors follow in
-        // declaration order, which (with the shared seq counter) fixes
-        // the firing order of same-cycle ticks.
-        let mut comps: Vec<Box<dyn Component>> = vec![
-            Box::new(component::CoreComplex),
-            Box::new(component::DirectoryUnit),
-        ];
-        for spec in &cfg.components {
-            comps.push(component::build(spec, cfg.cores));
-        }
-        let has_async_abort = cfg
+        // Components register in declaration order, which (with the
+        // shared seq counter) fixes the firing order of same-cycle ticks.
+        let comps = cfg
             .components
             .iter()
-            .any(|s| matches!(s, ComponentSpec::Interrupt { .. }));
+            .map(|spec| Some(component::build(spec, cfg.cores)))
+            .collect();
         let nsockets = cfg.sockets();
         let mut sim = Sim {
             rng: SimRng::seed_from_u64(cfg.seed),
@@ -291,14 +286,14 @@ impl Sim {
             stall_scratch: Vec::new(),
             wb_scratch: VecDeque::new(),
             comps,
-            has_async_abort,
             cfg,
         };
-        // Schedule every component's first tick. With no configured
-        // components this pushes nothing (the built-ins never tick), so
-        // the seq stream — and every determinism golden — is untouched.
+        // Schedule every component's first tick. With no components this
+        // pushes nothing, so the seq stream — and every determinism
+        // golden — is untouched.
         for i in 0..sim.comps.len() {
-            if let Some(t) = sim.comps[i].next_tick(0) {
+            let first = sim.comps[i].as_ref().and_then(|c| c.next_tick(0));
+            if let Some(t) = first {
                 sim.push(t, Event::CompTick { comp: i as u32 });
             }
         }
@@ -401,7 +396,7 @@ impl Sim {
 
     /// Hands the engine a thread's next operation, issued at the thread's
     /// local time `at`. When the fast path admits the operation (see
-    /// [`Sim::try_fast_path`]) its outcome is decided here, at
+    /// `Sim::try_fast_path`) its outcome is decided here, at
     /// submission, and a stand-in event delivers it at the issue time.
     pub fn submit_op(&mut self, core: usize, at: u64, op: OpKind) {
         assert!(
@@ -435,11 +430,6 @@ impl Sim {
         self.caches[core].op_state = OpState::Inbox;
         self.op_inbox[core] = Some(op);
         self.push(t, Event::IssueOp { core });
-    }
-
-    /// True if any event remains.
-    pub fn has_events(&self) -> bool {
-        !self.events.is_empty()
     }
 
     /// Diagnostic for the machine layer's deadlock assertion: names every
@@ -500,11 +490,8 @@ impl Sim {
                 debug_assert_eq!(self.caches[core].op_state, OpState::Inbox);
                 self.caches[core].op_state = OpState::Current;
                 // A component interrupt can abort the enclosing
-                // transaction while the stand-in event is pending (the
-                // admission gate keeps transactional ops off the fast
-                // path when that is possible, but deliver the abort
-                // rather than a stale value if it ever happens —
-                // mirroring `begin_op`).
+                // transaction while the stand-in event is pending:
+                // deliver the abort, as `begin_op` does on the slow path.
                 if let Some(status) = self.caches[core].pending_abort.take() {
                     self.resume_at(core, self.clock, OpOutcome::Aborted(status));
                 } else {
@@ -522,9 +509,6 @@ impl Sim {
                     "abort pended against a non-transactional fast-path RMW"
                 );
                 self.caches[core].op_state = OpState::Current;
-                // M, or E silently upgraded by the store (MESI-E) —
-                // mirrors the owned branch of `op_store`.
-                self.caches[core].set_state(line, CState::Modified);
                 self.start_rmw(core, line, waiter);
             }
             Event::CompTick { comp } => self.comp_tick(comp as usize),

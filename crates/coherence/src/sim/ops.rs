@@ -1,7 +1,7 @@
 //! Thread-operation entry points: op dispatch, the RMW window, and HTM
 //! begin/commit/abort.
 
-use super::cache::{CState, OpState, PendingReq, Waiter, F_TR, F_TW};
+use super::cache::{CState, OpState, PendingReq, Waiter};
 use super::event::Event;
 use super::{op_line, LineId, OpKind, OpOutcome, Sim};
 use crate::msg::{Msg, Node};
@@ -42,7 +42,7 @@ impl Sim {
         self.begin_op_dispatch(core, op);
     }
 
-    /// Second half of [`begin_op`]: the operation dispatch, also entered
+    /// Second half of [`Self::begin_op`]: the operation dispatch, also entered
     /// directly when a deferred op is re-issued at request completion.
     pub(super) fn begin_op_dispatch(&mut self, core: usize, op: OpKind) {
         match op {
@@ -99,130 +99,67 @@ impl Sim {
 
     fn op_read(&mut self, core: usize, addr: u64) {
         let line = self.lines.intern(addr);
-        let in_txn = self.caches[core].in_txn();
-        let hit = {
-            let cache = &mut self.caches[core];
-            if cache.state(line) != CState::Invalid {
-                if in_txn {
-                    cache.set_flag(line, F_TR, true);
-                }
-                Some(cache.value(line))
-            } else {
-                None
-            }
-        };
-        if in_txn {
-            self.caches[core]
-                .txn
-                .as_mut()
-                .unwrap()
-                .read_set
-                .insert(line);
-            if self.txn_over_capacity(core) {
-                self.abort_txn(core, txn::CAPACITY);
-                return;
-            }
-        }
-        if let Some(v) = hit {
-            let done = self.clock + self.cfg.hit_cycles;
-            self.resume_at(core, done, OpOutcome::Val(v));
+        if self.txn_overflows(core, line, false) {
+            self.abort_txn(core, txn::CAPACITY);
             return;
         }
         let cache = &mut self.caches[core];
-        debug_assert!(!cache.pending_on(line), "duplicate request for line");
-        cache.pending.push(PendingReq {
-            line,
-            is_getm: false,
-            have_data: false,
-            value: 0,
-            acks_expected: None,
-            acks_got: 0,
-            got_excl: false,
-            waiter: Some(Waiter::Read),
-        });
-        cache.op_state = OpState::PendingWait;
-        self.send(
-            Node::Core(core),
-            Node::Dir,
-            Msg::GetS {
-                line: addr,
-                from: core,
-            },
-        );
+        if let Some(t) = &mut cache.txn {
+            t.read_set.insert(line);
+        }
+        if cache.state(line) == CState::Invalid {
+            self.issue_miss(core, line, addr, Waiter::Read);
+            return;
+        }
+        let v = cache.value(line);
+        let done = self.clock + self.cfg.hit_cycles;
+        self.resume_at(core, done, OpOutcome::Val(v));
     }
 
     /// All write-permission operations: plain store, CAS/FAA/SWAP, and
     /// transactional writes.
     fn op_store(&mut self, core: usize, addr: u64, waiter: Waiter) {
         let line = self.lines.intern(addr);
-        let in_txn = self.caches[core].in_txn();
-        if in_txn {
-            // Inside a transaction the only permitted store is the
-            // transactional plain write; the paper's algorithms never RMW
-            // inside a transaction.
-            let v = match waiter {
-                Waiter::Write(v) => v,
-                _ => panic!("atomic RMW inside a transaction is not supported"),
-            };
-            self.caches[core]
-                .txn
-                .as_mut()
-                .unwrap()
-                .write_set
-                .insert(line);
-            if self.txn_over_capacity(core) {
-                self.abort_txn(core, txn::CAPACITY);
-                return;
+        let owned = self.caches[core].state(line).writable();
+        if !self.caches[core].in_txn() {
+            if owned {
+                self.start_rmw(core, line, waiter);
+            } else {
+                self.issue_miss(core, line, addr, waiter);
             }
-            if self.caches[core].state(line).writable() {
-                // Ownership already held (M, or E with a silent upgrade):
-                // buffer the write transactionally.
-                let cache = &mut self.caches[core];
-                cache.set_state(line, CState::Modified);
-                if !cache.flag(line, F_TW) {
-                    cache.cleans[line as usize] = cache.values[line as usize];
-                    cache.set_flag(line, F_TW, true);
-                }
-                cache.values[line as usize] = v;
-                let done = self.clock + self.cfg.hit_cycles;
-                self.resume_at(core, done, OpOutcome::Val(0));
-                return;
-            }
-            let cache = &mut self.caches[core];
-            debug_assert!(!cache.pending_on(line), "duplicate request for line");
-            cache.pending.push(PendingReq {
-                line,
-                is_getm: true,
-                have_data: false,
-                value: 0,
-                acks_expected: None,
-                acks_got: 0,
-                got_excl: false,
-                waiter: Some(Waiter::TxWrite(v)),
-            });
-            cache.op_state = OpState::PendingWait;
-            self.send(
-                Node::Core(core),
-                Node::Dir,
-                Msg::GetM {
-                    line: addr,
-                    from: core,
-                },
-            );
             return;
         }
+        // Inside a transaction the only permitted store is the
+        // transactional plain write; the paper's algorithms never RMW
+        // inside a transaction.
+        let Waiter::Write(v) = waiter else {
+            panic!("atomic RMW inside a transaction is not supported");
+        };
+        if self.txn_overflows(core, line, true) {
+            self.abort_txn(core, txn::CAPACITY);
+            return;
+        }
+        let cache = &mut self.caches[core];
+        cache.txn.as_mut().unwrap().write_set.insert(line);
+        if owned {
+            cache.tx_write(line, v);
+            let done = self.clock + self.cfg.hit_cycles;
+            self.resume_at(core, done, OpOutcome::Val(0));
+        } else {
+            self.issue_miss(core, line, addr, Waiter::TxWrite(v));
+        }
+    }
 
-        if self.caches[core].state(line).writable() {
-            // M, or E silently upgraded by the store (MESI-E).
-            self.caches[core].set_state(line, CState::Modified);
-            self.start_rmw(core, line, waiter);
-            return;
-        }
+    /// Blocks `core`'s thread on a miss: files the request `waiter` waits
+    /// on and sends the directory a GetS (a read) or a GetM (anything
+    /// that needs write permission).
+    fn issue_miss(&mut self, core: usize, line: LineId, addr: u64, waiter: Waiter) {
+        let is_getm = !matches!(waiter, Waiter::Read);
         let cache = &mut self.caches[core];
         debug_assert!(!cache.pending_on(line), "duplicate request for line");
         cache.pending.push(PendingReq {
             line,
-            is_getm: true,
+            is_getm,
             have_data: false,
             value: 0,
             acks_expected: None,
@@ -231,19 +168,24 @@ impl Sim {
             waiter: Some(waiter),
         });
         cache.op_state = OpState::PendingWait;
-        self.send(
-            Node::Core(core),
-            Node::Dir,
+        let msg = if is_getm {
             Msg::GetM {
                 line: addr,
                 from: core,
-            },
-        );
+            }
+        } else {
+            Msg::GetS {
+                line: addr,
+                from: core,
+            }
+        };
+        self.send(Node::Core(core), Node::Dir, msg);
     }
 
-    /// Begins executing an RMW/store on an owned line; incoming Fwd
-    /// requests stall until `rmw_done` (§3.2: the core defers coherence
-    /// messages that would revoke ownership until the RMW completes).
+    /// Begins executing an RMW/store on an owned line — M, or E silently
+    /// upgraded by the store (MESI-E). Incoming Fwd requests stall until
+    /// `rmw_done` (§3.2: the core defers coherence messages that would
+    /// revoke ownership until the RMW completes).
     pub(super) fn start_rmw(&mut self, core: usize, line: LineId, waiter: Waiter) {
         let cost = match waiter {
             Waiter::Write(_) => self.cfg.hit_cycles,
@@ -251,6 +193,7 @@ impl Sim {
         };
         let cache = &mut self.caches[core];
         debug_assert!(cache.state(line).writable());
+        cache.set_state(line, CState::Modified);
         cache.rmw_busy = true;
         cache.rmw_line = line;
         cache.gen += 1;
@@ -308,18 +251,19 @@ impl Sim {
         self.drain_stalled(core);
     }
 
-    /// True if `core`'s running transaction has outgrown the modelled
-    /// transactional capacity (`tx_capacity_lines` distinct read-set plus
-    /// write-set entries; 0 = unbounded).
-    fn txn_over_capacity(&self, core: usize) -> bool {
+    /// True if adding `line` to `core`'s running transaction — to its
+    /// write set if `write`, else its read set — would outgrow the
+    /// modelled transactional capacity: `tx_capacity_lines` distinct
+    /// read-set plus write-set entries, 0 = unbounded. False outside a
+    /// transaction. The slow path aborts on it; the fast path falls back.
+    pub(super) fn txn_overflows(&self, core: usize, line: LineId, write: bool) -> bool {
         let limit = self.cfg.tx_capacity_lines;
-        if limit == 0 {
+        let Some(t) = self.caches[core].txn.as_ref().filter(|_| limit > 0) else {
             return false;
-        }
-        self.caches[core]
-            .txn
-            .as_ref()
-            .is_some_and(|t| t.read_set.len() + t.write_set.len() > limit)
+        };
+        let set = if write { &t.write_set } else { &t.read_set };
+        let grow = usize::from(!set.contains(line));
+        t.read_set.len() + t.write_set.len() + grow > limit
     }
 
     fn op_txbegin(&mut self, core: usize) {
@@ -364,16 +308,9 @@ impl Sim {
             self.abort_txn(core, txn::SPURIOUS);
             return;
         }
-        let cache = &mut self.caches[core];
-        let mut t = cache.txn.take().expect("commit without txn");
-        for &line in t.read_set.iter().chain(t.write_set.iter()) {
-            if (line as usize) < cache.flags.len() {
-                cache.flags[line as usize] &= !(F_TR | F_TW);
-            }
-        }
-        t.read_set.clear();
-        t.write_set.clear();
-        cache.txn_spare = Some(t);
+        self.caches[core]
+            .end_txn(false)
+            .expect("commit without txn");
         self.stats.tx_commits += 1;
         self.trace_tx(core, "commit", 0);
         let done = self.clock + self.cfg.xend_cycles;
@@ -387,38 +324,18 @@ impl Sim {
         self.abort_txn_at(core, status, 0);
     }
 
-    /// [`abort_txn`] with `extra` cycles added to the victim's resume
+    /// [`Self::abort_txn`] with `extra` cycles added to the victim's resume
     /// time — the interrupt path uses it to charge the handler cost
     /// before the abort is delivered. An abort pended against an inbox
     /// op is reported at issue as usual (the handler overlaps the time
     /// the op was queued anyway).
     pub(super) fn abort_txn_at(&mut self, core: usize, status: u32, extra: u64) {
-        let Some(mut t) = self.caches[core].txn.take() else {
+        let Some(depth) = self.caches[core].end_txn(true) else {
             return;
         };
         let mut status = status | txn::RETRY;
-        if t.depth >= 2 {
+        if depth >= 2 {
             status |= txn::NESTED;
-        }
-        {
-            let cache = &mut self.caches[core];
-            // Roll back transactional writes applied to owned lines.
-            for &line in t.write_set.iter() {
-                let i = line as usize;
-                if i < cache.flags.len() && cache.flags[i] & F_TW != 0 {
-                    cache.values[i] = cache.cleans[i];
-                    cache.flags[i] &= !F_TW;
-                }
-            }
-            for &line in t.read_set.iter() {
-                let i = line as usize;
-                if i < cache.flags.len() {
-                    cache.flags[i] &= !F_TR;
-                }
-            }
-            t.read_set.clear();
-            t.write_set.clear();
-            cache.txn_spare = Some(t);
         }
         if txn::is_explicit(status) {
             self.stats.tx_aborts_explicit += 1;

@@ -1,6 +1,6 @@
 //! Cache-side coherence message handlers and the stall queue.
 
-use super::cache::{CState, OpState, PendingReq, Waiter, F_TR, F_TW};
+use super::cache::{CState, OpState, Waiter, F_TW};
 use super::event::Event;
 use super::{LineId, OpOutcome, Sim};
 use crate::msg::{Msg, Node};
@@ -44,8 +44,7 @@ impl Sim {
                 self.try_complete_pending(core, line);
             }
             Msg::Inv { requester, .. } => self.on_inv(core, line, msg.line(), requester),
-            Msg::FwdGetS { requester, .. } => self.on_fwd_gets(core, line, requester),
-            Msg::FwdGetM { requester, .. } => self.on_fwd_getm(core, line, requester),
+            Msg::FwdGetS { .. } | Msg::FwdGetM { .. } => self.on_fwd(core, line, msg),
             other => panic!("cache cannot handle {other:?}"),
         }
     }
@@ -86,7 +85,7 @@ impl Sim {
             } else {
                 CState::Shared
             };
-            cache.flags[line as usize] = s as u8; // also clears tr/tw
+            cache.flags[line as usize] = s as u8; // also clears the write mark
             cache.values[line as usize] = p.value;
         }
 
@@ -107,9 +106,6 @@ impl Sim {
                 }
             }
             Some(Waiter::Read) => {
-                if self.caches[core].in_txn() {
-                    self.caches[core].set_flag(line, F_TR, true);
-                }
                 self.resume_at(core, self.clock, OpOutcome::Val(p.value));
                 self.drain_stalled(core);
             }
@@ -118,33 +114,15 @@ impl Sim {
                 // buffered store; requester-wins conflicts that arrived
                 // during the wait already aborted us (waiter would be
                 // None). Stalled Fwd requests stay stalled until
-                // commit/abort — see the commit-atomicity note above.
+                // commit/abort — see the commit-atomicity note in the
+                // `sim` module docs.
                 debug_assert!(self.caches[core].in_txn());
-                let cache = &mut self.caches[core];
-                cache.cleans[line as usize] = cache.values[line as usize];
-                cache.values[line as usize] = v;
-                cache.set_flag(line, F_TW, true);
+                self.caches[core].tx_write(line, v);
                 self.resume_at(core, self.clock, OpOutcome::Val(0));
             }
-            Some(w) => {
-                // A non-transactional RMW/store: execute it now (the §3.2
-                // read-modify-write window).
-                let cost = match w {
-                    Waiter::Write(_) => self.cfg.hit_cycles,
-                    _ => self.cfg.rmw_cycles,
-                };
-                let cache = &mut self.caches[core];
-                cache.pending.push(PendingReq {
-                    waiter: Some(w),
-                    ..p
-                });
-                cache.rmw_busy = true;
-                cache.rmw_line = line;
-                cache.gen += 1;
-                let gen = cache.gen;
-                cache.op_state = OpState::RmwExec;
-                self.push(self.clock + cost, Event::RmwDone { core, gen });
-            }
+            // A non-transactional RMW/store: execute it now (the §3.2
+            // read-modify-write window).
+            Some(w) => self.start_rmw(core, line, w),
         }
     }
 
@@ -171,151 +149,65 @@ impl Sim {
         }
     }
 
-    fn on_fwd_gets(&mut self, core: usize, line: LineId, requester: usize) {
-        let (pending_here, txn_wrote, owns) = {
-            let cache = &self.caches[core];
-            (
-                cache.pending_on(line),
-                cache.txn_writes(line),
-                cache.state(line).writable(),
-            )
+    /// A Fwd-GetS or Fwd-GetM from the directory: this core owns `line`
+    /// and must hand it to the requester — unless a rule below stalls the
+    /// request, in which case `msg` itself waits in the stall queue.
+    fn on_fwd(&mut self, core: usize, line: LineId, msg: Msg) {
+        let (getm, requester) = match msg {
+            Msg::FwdGetS { requester, .. } => (false, requester),
+            Msg::FwdGetM { requester, .. } => (true, requester),
+            other => unreachable!("not a Fwd request: {other:?}"),
         };
-        let addr = self.lines.addrs[line as usize];
-
-        if txn_wrote && pending_here {
-            // The remote read hit the window in which our transactional
-            // write waits for its GetM to complete: the tripped writer
-            // (§3.4, Figure 3).
-            if self.cfg.microarch_fix {
-                // §3.4.1: the core is effectively blocked at _xend with a
-                // single pending GetM; stall the read until commit.
-                self.stats.fix_stalls += 1;
-                self.stats.stalls += 1;
-                self.caches[core].stall(
-                    line,
-                    Msg::FwdGetS {
-                        line: addr,
-                        requester,
-                    },
-                );
-                return;
-            }
-            self.stats.tripped_writers += 1;
-            self.abort_txn(core, txn::CONFLICT);
-            // We still become owner when the GetM completes (headless);
-            // serve the read then.
-            self.stats.stalls += 1;
-            self.caches[core].stall(
-                line,
-                Msg::FwdGetS {
-                    line: addr,
-                    requester,
-                },
-            );
-            return;
-        }
-        if txn_wrote && owns {
-            // Commit window (ownership held, xend imminent): stall — see
-            // the commit-atomicity note in the module docs.
-            self.stats.stalls += 1;
-            self.caches[core].stall(
-                line,
-                Msg::FwdGetS {
-                    line: addr,
-                    requester,
-                },
-            );
-            return;
-        }
-        if pending_here || self.caches[core].rmw_busy {
-            self.stats.stalls += 1;
-            self.caches[core].stall(
-                line,
-                Msg::FwdGetS {
-                    line: addr,
-                    requester,
-                },
-            );
-            return;
-        }
-        // A remote read of a line we own but only transactionally *read*
-        // (or do not have in any transaction) is not a conflict.
-        self.serve_fwd_gets(core, line, requester);
-    }
-
-    fn serve_fwd_gets(&mut self, core: usize, line: LineId, requester: usize) {
-        let addr = self.lines.addrs[line as usize];
-        let v = {
-            let cache = &mut self.caches[core];
-            assert!(cache.state(line).writable(), "Fwd-GetS to non-owner");
-            debug_assert!(
-                !cache.flag(line, F_TW),
-                "serving a transactionally written line"
-            );
-            cache.set_state(line, CState::Shared);
-            cache.value(line)
-        };
-        self.send(
-            Node::Core(core),
-            Node::Core(requester),
-            Msg::DataOwner {
-                line: addr,
-                value: v,
-            },
-        );
-        self.send(
-            Node::Core(core),
-            Node::Dir,
-            Msg::WbData {
-                line: addr,
-                value: v,
-                from: core,
-            },
-        );
-    }
-
-    fn on_fwd_getm(&mut self, core: usize, line: LineId, requester: usize) {
-        let (pending_here, txn_wrote, txn_read) = {
-            let cache = &self.caches[core];
-            (
-                cache.pending_on(line),
-                cache.txn_writes(line),
-                cache.txn_reads(line),
-            )
-        };
-        if pending_here || self.caches[core].rmw_busy || txn_wrote {
+        let cache = &self.caches[core];
+        let pending_here = cache.pending_on(line);
+        let txn_wrote = cache.txn_writes(line);
+        let txn_read = cache.txn_reads(line);
+        if pending_here || cache.rmw_busy || txn_wrote {
             // Stall until our own request / RMW window / commit completes
             // (Figure 2a's C2; for transactions this preserves the §3.3
-            // winner, whose commit is atomic with GetM completion).
-            let addr = self.lines.addrs[line as usize];
+            // winner, whose commit is atomic with GetM completion — see
+            // the commit-atomicity note in the `sim` module docs).
+            if !getm && txn_wrote && pending_here {
+                // The remote read hit the window in which our
+                // transactional write waits for its GetM to complete: the
+                // tripped writer (§3.4, Figure 3). With the §3.4.1 fix the
+                // core is effectively blocked at _xend with a single
+                // pending GetM and the read simply waits for the commit;
+                // without it the writer aborts, still becomes owner when
+                // the GetM completes (headless), and serves the read then.
+                if self.cfg.microarch_fix {
+                    self.stats.fix_stalls += 1;
+                } else {
+                    self.stats.tripped_writers += 1;
+                    self.abort_txn(core, txn::CONFLICT);
+                }
+            }
             self.stats.stalls += 1;
-            self.caches[core].stall(
-                line,
-                Msg::FwdGetM {
-                    line: addr,
-                    requester,
-                },
-            );
+            self.caches[core].stall(line, msg);
             return;
         }
-        if txn_read {
+        if getm && txn_read {
             // We own a line the running transaction read; the remote
-            // writer wins.
+            // writer wins. A remote *read* of it is no conflict.
             self.abort_txn(core, txn::CONFLICT);
         }
-        self.serve_fwd_getm(core, line, requester);
-    }
-
-    fn serve_fwd_getm(&mut self, core: usize, line: LineId, requester: usize) {
+        // Hand the line over: a Fwd-GetS downgrades our copy to Shared
+        // and writes the value back to the directory; a Fwd-GetM
+        // invalidates it.
         let addr = self.lines.addrs[line as usize];
         let v = {
             let cache = &mut self.caches[core];
-            assert!(cache.state(line).writable(), "Fwd-GetM to non-owner");
+            assert!(cache.state(line).writable(), "{msg:?} to non-owner");
             debug_assert!(
                 !cache.flag(line, F_TW),
                 "handing off a transactionally written line"
             );
-            cache.set_state(line, CState::Invalid);
+            let next = if getm {
+                CState::Invalid
+            } else {
+                CState::Shared
+            };
+            cache.set_state(line, next);
             cache.value(line)
         };
         self.send(
@@ -326,6 +218,17 @@ impl Sim {
                 value: v,
             },
         );
+        if !getm {
+            self.send(
+                Node::Core(core),
+                Node::Dir,
+                Msg::WbData {
+                    line: addr,
+                    value: v,
+                    from: core,
+                },
+            );
+        }
     }
 
     /// Re-examines stalled messages after a condition that stalled them
@@ -337,27 +240,24 @@ impl Sim {
         if self.caches[core].rmw_busy || self.caches[core].stalled.is_empty() {
             return; // the atomic window blocks the whole cache
         }
-        // The stalled vector is append-ordered, so a stable partition
-        // releases unblocked messages in arrival-stamp order — exactly
-        // the order the old whole-queue scan produced.
+        // A stable partition of the arrival-ordered queue releases the
+        // unblocked messages in arrival order.
         let mut freed = std::mem::take(&mut self.stall_scratch);
         debug_assert!(freed.is_empty());
         {
             let cache = &mut self.caches[core];
             let pending = &cache.pending;
             let txn = &cache.txn;
-            cache.stalled.retain(|&(stamp, line, msg)| {
+            cache.stalled.retain(|&(line, msg)| {
                 let blocked = pending.iter().any(|p| p.line == line)
                     || txn.as_ref().is_some_and(|t| t.write_set.contains(line));
-                if blocked {
-                    true
-                } else {
-                    freed.push((stamp, line, msg));
-                    false
+                if !blocked {
+                    freed.push(msg);
                 }
+                blocked
             });
         }
-        for &(_, _, msg) in &freed {
+        for &msg in &freed {
             self.push(
                 self.clock,
                 Event::Deliver {

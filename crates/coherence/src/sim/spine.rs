@@ -4,7 +4,6 @@
 use super::cache::OpState;
 use super::event::Event;
 use super::{OpOutcome, Sim};
-use crate::component::{self, Component};
 use crate::stats::TraceEvent;
 use crate::txn;
 
@@ -15,7 +14,8 @@ use crate::txn;
 /// perturbs state they did not explicitly act on.
 pub struct CompCtx<'a> {
     sim: &'a mut Sim,
-    /// The ticking component's spine index (for trace attribution).
+    /// The ticking component's index in `MachineConfig::components`
+    /// (for trace attribution).
     comp: usize,
     /// The ticking component's stable name.
     name: &'static str,
@@ -86,15 +86,14 @@ impl CompCtx<'_> {
 
 impl Sim {
     /// Dispatches one component tick: runs `tick` at the current clock
-    /// and reschedules from `next_tick`. The component is moved out of
-    /// its slot for the duration of the call (a tombstone stands in) so
-    /// it can mutate the simulator through [`CompCtx`].
+    /// and reschedules from `next_tick`. The component is taken out of
+    /// its slot for the duration of the call so it can mutate the
+    /// simulator through [`CompCtx`].
     pub(super) fn comp_tick(&mut self, i: usize) {
         self.stats.comp_ticks += 1;
-        let mut c = std::mem::replace(
-            &mut self.comps[i],
-            Box::new(component::Tombstone) as Box<dyn Component>,
-        );
+        let mut c = self.comps[i]
+            .take()
+            .expect("a component ticked re-entrantly while its own tick was running");
         let now = self.clock;
         c.tick(
             now,
@@ -113,7 +112,7 @@ impl Sim {
             );
             self.push(t, Event::CompTick { comp: i as u32 });
         }
-        self.comps[i] = c;
+        self.comps[i] = Some(c);
     }
 
     fn trace_comp(&mut self, comp: usize, name: &'static str, what: &'static str, core: usize) {

@@ -6,7 +6,7 @@
 //! below, so every report renders deterministically.
 
 /// Message kinds, in canonical (declaration/report) order. Indices match
-/// [`crate::msg::Msg::kind_id`].
+/// `Msg::kind_id`.
 pub const MSG_KINDS: [&str; 9] = [
     "GetS",
     "GetM",
@@ -175,9 +175,9 @@ pub enum TraceEvent {
         what: &'static str,
         line: u64,
     },
-    /// A component-spine action at `time`: component `comp` (`name` is
-    /// its stable name) did `what` ("interrupt", "release", "bank") to
-    /// application core `core`.
+    /// A component-spine action at `time`: component `comp` (its index in
+    /// `MachineConfig::components`; `name` is its stable name) did `what`
+    /// ("interrupt", "release", "bank") to application core `core`.
     Comp {
         time: u64,
         comp: usize,

@@ -148,7 +148,7 @@ fn interrupts_appear_in_the_trace_on_component_and_core_tracks() {
             comp, name, what, ..
         } = e
         {
-            assert!(*comp >= 2, "configured components sit after the built-ins");
+            assert_eq!(*comp, 0, "the index into MachineConfig::components");
             assert_eq!(*name, "interrupt");
             assert_eq!(*what, "interrupt");
             comp_marks += 1;

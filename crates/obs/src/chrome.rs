@@ -50,9 +50,9 @@ pub struct TraceMeta {
 /// The Dir track id; core/thread `n` maps to track `n + 1`.
 const DIR_TRACK: u64 = 0;
 
-/// Component `c` on the machine's component spine maps to track
-/// `COMP_TRACK_BASE + c`, far above any plausible core count so the two
-/// ranges never collide. Only components that actually acted appear.
+/// Component `c` (its index in `MachineConfig::components`) maps to
+/// track `COMP_TRACK_BASE + c`, far above any plausible core count so the
+/// two ranges never collide. Only components that actually acted appear.
 const COMP_TRACK_BASE: u64 = 1000;
 
 fn esc(s: &str) -> String {

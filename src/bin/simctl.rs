@@ -6,9 +6,10 @@
 //! Every subcommand shares one grammar: a few positional arguments
 //! followed by `key=value` pairs. A pair that is not `key=value`, a
 //! repeated key, a key the subcommand does not take, a value that does
-//! not parse, or a count too small to run (zero threads, workers, ops,
-//! basket or rate; a `mixed` run on fewer than two threads) prints the
-//! usage text and exits 2.
+//! not parse, or a count too small to run (zero threads; a zero
+//! `basket`, `rates` entry or scenario `workers`/`ops`/`period`; a
+//! `mixed` run on fewer than two threads) prints the usage text and
+//! exits 2.
 //!
 //! ```text
 //! simctl <queue> <workload> <threads> [key=value ...]
@@ -206,8 +207,8 @@ usage:
       this text
 
 Arguments are positional first, then key=value pairs; a malformed,
-repeated or unknown key, or a zero count, exits 2 (`mixed` needs at
-least 2 threads). See the module docs in
+repeated or unknown key, or a count too small to run (zero threads,
+one `mixed` thread), exits 2. See the module docs in
 src/bin/simctl.rs for every key's meaning.";
 
 /// An argument error: `main` prints it with the usage text and exits 2.
