@@ -563,12 +563,13 @@ fn speedups_text(ops: u64, t: usize, jobs: usize) -> String {
 pub const NUMA_GRID: &[(usize, usize)] = &[(1, 44), (2, 88), (4, 176)];
 
 /// Parses `spec` as a `sockets x threads` grid (e.g. `"1x44,2x88"`);
-/// `None` when the spec is empty or any entry does not parse.
+/// `None` when the spec is empty or any entry does not parse or is zero.
 pub fn numa_grid(spec: &str) -> Option<Vec<(usize, usize)>> {
     spec.split(',')
         .map(|p| {
             let (s, t) = p.trim().split_once('x')?;
-            Some((s.trim().parse().ok()?, t.trim().parse().ok()?))
+            let (s, t) = (s.trim().parse().ok()?, t.trim().parse().ok()?);
+            (s > 0 && t > 0).then_some((s, t))
         })
         .collect()
 }

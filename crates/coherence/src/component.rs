@@ -21,10 +21,11 @@
 //! round, reschedule order after), never in a data-structure-dependent
 //! or platform-dependent order. A component may not touch the seeded
 //! RNG — its context ([`crate::CompCtx`]) exposes only deterministic
-//! machine state — so attaching a component that takes no action (a
-//! [`Heartbeat`]) leaves every thread-visible value, message, and resume
-//! time of a run unchanged, and attaching none at all leaves the event
-//! stream byte-identical to the pre-component simulator.
+//! machine state — so a component whose ticks change nothing a thread
+//! can see (a [`TickGate`] on a core that never waits) leaves every
+//! thread-visible value, message, and resume time of a run unchanged,
+//! and attaching none at all leaves the event stream byte-identical to
+//! the pre-component simulator.
 
 use crate::config::ComponentSpec;
 use crate::sim::CompCtx;
@@ -115,94 +116,32 @@ impl Component for TickGate {
     }
 }
 
-/// Benign no-op actor (`ComponentSpec::Heartbeat`): occupies wheel slots
-/// and dispatch cycles but takes no machine-visible action. Exists so
-/// the differential suite can prove the spine itself is inert.
-pub struct Heartbeat {
-    period: u64,
-    /// Ticks left; `None` = unlimited.
-    remaining: Option<u64>,
-    next: u64,
-}
-
-impl Component for Heartbeat {
-    fn name(&self) -> &'static str {
-        "heartbeat"
-    }
-
-    fn next_tick(&self, _now: u64) -> Option<u64> {
-        match self.remaining {
-            Some(0) => None,
-            _ => Some(self.next),
-        }
-    }
-
-    fn tick(&mut self, now: u64, _ctx: &mut CompCtx<'_>) {
-        self.next = now + self.period;
-        if let Some(r) = &mut self.remaining {
-            *r -= 1;
-        }
-    }
-}
-
-fn bound(count: u64) -> Option<u64> {
-    if count == 0 {
-        None
-    } else {
-        Some(count)
-    }
-}
-
-/// Builds a live component from its declarative spec. `ncores` is the
-/// application core count, used to validate pinned victims/paced cores.
-pub(crate) fn build(spec: &ComponentSpec, ncores: usize) -> Box<dyn Component> {
+/// Builds a live component from its declarative spec, which
+/// `MachineConfig::validate` has already checked.
+pub(crate) fn build(spec: &ComponentSpec) -> Box<dyn Component> {
     match *spec {
         ComponentSpec::Interrupt {
             period,
             start,
             cost,
             victim,
-        } => {
-            assert!(period > 0, "InterruptSource: period must be nonzero");
-            if let Some(v) = victim {
-                assert!(
-                    v < ncores,
-                    "InterruptSource: victim core {v} out of range (machine has {ncores} cores)"
-                );
-            }
-            Box::new(InterruptSource {
-                period,
-                cost,
-                victim,
-                next: start,
-                rr: 0,
-            })
-        }
+        } => Box::new(InterruptSource {
+            period,
+            cost,
+            victim,
+            next: start,
+            rr: 0,
+        }),
         ComponentSpec::TickGate {
             core,
             period,
             start,
             count,
-        } => {
-            assert!(period > 0, "TickGate: period must be nonzero");
-            assert!(
-                core < ncores,
-                "TickGate: paced core {core} out of range (machine has {ncores} cores)"
-            );
-            Box::new(TickGate {
-                core,
-                period,
-                remaining: bound(count),
-                next: start,
-            })
-        }
-        ComponentSpec::Heartbeat { period, count } => {
-            assert!(period > 0, "Heartbeat: period must be nonzero");
-            Box::new(Heartbeat {
-                period,
-                remaining: bound(count),
-                next: period,
-            })
-        }
+        } => Box::new(TickGate {
+            core,
+            period,
+            remaining: (count > 0).then_some(count),
+            next: start,
+        }),
     }
 }

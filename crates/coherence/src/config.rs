@@ -4,6 +4,9 @@
 //! regime as the paper's Broadwell measurements (§6.1): a coherence message
 //! delay of "about 15–30 cycles", a 2.2 GHz clock, and a dual-socket
 //! interconnect several times slower than the on-chip one.
+//!
+//! One field table gives [`MachineConfig`] its exact `key=value` text
+//! form, which `simctl`'s machine keys and the fuzz reproducer share.
 
 /// Nominal clock, GHz, used to convert simulated cycles to nanoseconds.
 pub const GHZ: f64 = 2.2;
@@ -21,9 +24,10 @@ pub fn ns_to_cycles(ns: f64) -> u64 {
 /// Declarative description of one non-core actor on the machine's
 /// discrete-event component spine (built into a live
 /// `coherence::component::Component` by `Sim::new`). All fields are plain
-/// integers so specs round-trip exactly through text plans and fuzz
-/// artifacts; an empty spec list leaves the simulator byte-identical to
-/// the pre-component machine.
+/// integers, so a spec round-trips exactly through the machine's text
+/// form (`interrupt:PERIOD:START:COST:VICTIM` with `rr` for a round-robin
+/// victim, or `tick-gate:CORE:PERIOD:START:COUNT`); an empty spec list
+/// leaves the simulator byte-identical to the pre-component machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ComponentSpec {
     /// A periodic preemption/interrupt source. Every `period` cycles
@@ -57,17 +61,6 @@ pub enum ComponentSpec {
         /// Number of firings, 0 = unlimited.
         count: u64,
     },
-    /// A benign no-op actor that ticks every `period` cycles and does
-    /// nothing — it exists to prove that merely *scheduling* components
-    /// never perturbs a run (the cross-link differential suite
-    /// attaches one and demands byte-identical reports). `count` bounds
-    /// the number of ticks; 0 = unlimited.
-    Heartbeat {
-        /// Cycles between ticks; must be nonzero.
-        period: u64,
-        /// Number of ticks, 0 = unlimited.
-        count: u64,
-    },
 }
 
 /// Per-line directory home-socket policy: which socket's LLC slice
@@ -95,7 +88,7 @@ pub enum HomePolicy {
 }
 
 /// Full machine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of application cores (hardware threads in the paper's terms —
     /// we model one hardware thread per simulated core).
@@ -154,10 +147,10 @@ pub struct MachineConfig {
     /// reaches a core blocked in `_xend` with a single pending GetM is
     /// stalled until the transaction commits instead of aborting it.
     pub microarch_fix: bool,
-    /// Probability that a transaction suffers a spurious (non-conflict)
-    /// abort at `_xend`, modelling interrupts and other
-    /// implementation-specific aborts. 0.0 disables.
-    pub spurious_abort_prob: f64,
+    /// Parts per million of transactions that suffer a spurious
+    /// (non-conflict) abort at `_xend`, modelling interrupts and other
+    /// implementation-specific aborts. 0 disables.
+    pub spurious_abort_ppm: u64,
     /// Transactional capacity, in distinct read-set + write-set entries:
     /// a transaction whose footprint grows past this limit aborts with
     /// `txn::CAPACITY` (RTM's `_XABORT_CAPACITY`). 0 disables the model
@@ -185,14 +178,6 @@ pub struct MachineConfig {
     /// to runs with it on, just slower. Default on; the determinism
     /// goldens pin both settings.
     pub fast_path: bool,
-    /// Paint each fiber stack with the canary pattern at spawn so the
-    /// run can report a stack high-water mark
-    /// (`Stats::stack_high_water`). Costs one memset per fiber, so it
-    /// is off by default — stack memory is otherwise deliberately left
-    /// uninitialized (zeroing large stacks per run is a measured cost).
-    /// Only the fiber link has stacks to paint; the thread link ignores
-    /// it.
-    pub measure_stacks: bool,
     /// Record a full message/transaction trace (costly; for the Figure 2/3
     /// reproductions and debugging).
     pub trace: bool,
@@ -201,7 +186,7 @@ pub struct MachineConfig {
     /// events. On by default in debug builds.
     pub check_invariants: bool,
     /// Non-core actors to place on the component spine (interrupt
-    /// sources, tick gates, heartbeats — see [`ComponentSpec`]). Empty by
+    /// sources and tick gates — see [`ComponentSpec`]). Empty by
     /// default: with no components configured the event stream, and hence
     /// every determinism golden, is byte-identical to the pre-component
     /// simulator.
@@ -227,12 +212,11 @@ impl Default for MachineConfig {
             xend_cycles: 12,
             mesi_exclusive: false,
             microarch_fix: false,
-            spurious_abort_prob: 0.0,
+            spurious_abort_ppm: 0,
             tx_capacity_lines: 0,
             sched_perturb: 0,
             seed: 0x5b90,
             fast_path: true,
-            measure_stacks: false,
             trace: false,
             check_invariants: cfg!(debug_assertions),
             components: Vec::new(),
@@ -301,6 +285,232 @@ impl MachineConfig {
             self.hop_cross
         }
     }
+
+    /// The text form's keys, in [`MachineConfig::to_text`] order: each
+    /// field's name in kebab case.
+    pub fn keys() -> impl Iterator<Item = String> {
+        FIELDS.iter().map(Field::key)
+    }
+
+    /// The exact text form: one `key=value` line per field, in declaration
+    /// order, each value an integer, a 0/1 flag, a home policy name or a
+    /// comma-separated component list.
+    pub fn to_text(&self) -> String {
+        FIELDS
+            .iter()
+            .map(|f| format!("{}={}\n", f.key(), (f.get)(self)))
+            .collect()
+    }
+
+    /// Parses [`MachineConfig::to_text`] output strictly: an unknown,
+    /// repeated or missing key, a malformed line or value, or a config
+    /// that fails [`MachineConfig::validate`] is an error.
+    pub fn from_text(text: &str) -> Result<MachineConfig, String> {
+        let mut cfg = MachineConfig::default();
+        let mut seen = [false; FIELDS.len()];
+        for line in text.lines() {
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| format!("expected key=value, got `{line}`"))?;
+            let i = field_index(key)?;
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("duplicate machine key `{key}`"));
+            }
+            cfg.set(key, value)?;
+        }
+        if let Some(i) = seen.iter().position(|&s| !s) {
+            return Err(format!("missing machine key `{}`", FIELDS[i].key()));
+        }
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// Sets the field named `key` (a [`MachineConfig::keys`] entry) from
+    /// its text form.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        (FIELDS[field_index(key)?].set)(self, value)
+            .ok_or_else(|| format!("bad value `{value}` for machine key `{key}`"))
+    }
+
+    /// Checks what the simulator needs to run: nonzero `cores` and
+    /// `cores_per_socket`, and components with nonzero periods whose
+    /// cores exist. `Sim::new` panics on an error; tools report it.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 || self.cores_per_socket == 0 {
+            return Err(format!(
+                "cores ({}) and cores-per-socket ({}) must be positive",
+                self.cores, self.cores_per_socket
+            ));
+        }
+        for c in &self.components {
+            let (period, core) = match *c {
+                ComponentSpec::Interrupt { period, victim, .. } => (period, victim),
+                ComponentSpec::TickGate { core, period, .. } => (period, Some(core)),
+            };
+            let problem = if period == 0 {
+                "its period must be nonzero".to_string()
+            } else if let Some(core) = core.filter(|&core| core >= self.cores) {
+                format!("core {core} is out of range ({} cores)", self.cores)
+            } else {
+                continue;
+            };
+            return Err(format!("component `{}`: {problem}", c.render()));
+        }
+        Ok(())
+    }
+}
+
+/// One field of the text form: its name, and how to render and parse
+/// its value.
+struct Field {
+    name: &'static str,
+    get: fn(&MachineConfig) -> String,
+    set: fn(&mut MachineConfig, &str) -> Option<()>,
+}
+
+impl Field {
+    /// The field's key: its name in kebab case.
+    fn key(&self) -> String {
+        self.name.replace('_', "-")
+    }
+}
+
+fn field_index(key: &str) -> Result<usize, String> {
+    FIELDS
+        .iter()
+        .position(|f| f.key() == key)
+        .ok_or_else(|| format!("unknown machine key `{key}`"))
+}
+
+macro_rules! fields {
+    ($($field:ident),* $(,)?) => {
+        /// The text form's one field table, in declaration order.
+        const FIELDS: &[Field] = &[$(Field {
+            name: stringify!($field),
+            get: |c| c.$field.render(),
+            set: |c, v| {
+                c.$field = Value::parse(v)?;
+                Some(())
+            },
+        }),*];
+    };
+}
+
+fields! {
+    cores, cores_per_socket, hop_intra, hop_cross, home_policy, dir_occupancy, cache_occupancy,
+    delay_jitter_pct, hit_cycles, rmw_cycles, op_cycles, alloc_cycles, xbegin_cycles,
+    xend_cycles, mesi_exclusive, microarch_fix, spurious_abort_ppm, tx_capacity_lines,
+    sched_perturb, seed, fast_path, trace, check_invariants, components,
+}
+
+/// A field value's text form; `parse(&v.render()) == Some(v)`.
+trait Value: Sized {
+    fn render(&self) -> String;
+    fn parse(s: &str) -> Option<Self>;
+}
+
+macro_rules! int_value {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn render(&self) -> String {
+                self.to_string()
+            }
+            fn parse(s: &str) -> Option<Self> {
+                s.parse().ok()
+            }
+        }
+    )*};
+}
+
+int_value!(u64, usize);
+
+impl Value for bool {
+    fn render(&self) -> String {
+        u8::from(*self).to_string()
+    }
+    fn parse(s: &str) -> Option<Self> {
+        match s {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        }
+    }
+}
+
+const POLICIES: [HomePolicy; 3] = [
+    HomePolicy::Fixed,
+    HomePolicy::Interleave,
+    HomePolicy::FirstTouch,
+];
+
+impl Value for HomePolicy {
+    fn render(&self) -> String {
+        let name = match self {
+            HomePolicy::Fixed => "fixed",
+            HomePolicy::Interleave => "interleave",
+            HomePolicy::FirstTouch => "first-touch",
+        };
+        name.to_string()
+    }
+    fn parse(s: &str) -> Option<Self> {
+        POLICIES.into_iter().find(|p| p.render() == s)
+    }
+}
+
+impl Value for ComponentSpec {
+    fn render(&self) -> String {
+        match *self {
+            ComponentSpec::Interrupt {
+                period,
+                start,
+                cost,
+                victim,
+            } => format!(
+                "interrupt:{period}:{start}:{cost}:{}",
+                victim.map_or("rr".to_string(), |v| v.to_string())
+            ),
+            ComponentSpec::TickGate {
+                core,
+                period,
+                start,
+                count,
+            } => format!("tick-gate:{core}:{period}:{start}:{count}"),
+        }
+    }
+    fn parse(s: &str) -> Option<Self> {
+        let f: Vec<&str> = s.split(':').collect();
+        let n = |i: usize| f[i].parse::<u64>().ok();
+        match (f[0], f.len()) {
+            ("interrupt", 5) => Some(ComponentSpec::Interrupt {
+                period: n(1)?,
+                start: n(2)?,
+                cost: n(3)?,
+                victim: match f[4] {
+                    "rr" => None,
+                    v => Some(v.parse().ok()?),
+                },
+            }),
+            ("tick-gate", 5) => Some(ComponentSpec::TickGate {
+                core: f[1].parse().ok()?,
+                period: n(2)?,
+                start: n(3)?,
+                count: n(4)?,
+            }),
+            _ => None,
+        }
+    }
+}
+
+impl Value for Vec<ComponentSpec> {
+    fn render(&self) -> String {
+        self.iter().map(Value::render).collect::<Vec<_>>().join(",")
+    }
+    fn parse(s: &str) -> Option<Self> {
+        if s.is_empty() {
+            return Some(Vec::new());
+        }
+        s.split(',').map(<ComponentSpec as Value>::parse).collect()
+    }
 }
 
 #[cfg(test)]
@@ -343,5 +553,92 @@ mod tests {
     #[test]
     fn cycles_ns_roundtrip() {
         assert_eq!(ns_to_cycles(cycles_to_ns(2200)), 2200);
+    }
+
+    /// A valid config that draws every field from `rng`: any home
+    /// policy and 0–3 components of both kinds.
+    fn random_config(rng: &mut simrng::SimRng) -> MachineConfig {
+        let cores = rng.gen_range_inclusive(1, 200) as usize;
+        let mut r = |lo: u64, hi: u64| rng.gen_range_inclusive(lo, hi);
+        let components = (0..r(0, 3))
+            .map(|_| match r(0, 1) {
+                0 => ComponentSpec::Interrupt {
+                    period: r(1, u64::MAX),
+                    start: r(0, u64::MAX),
+                    cost: r(0, 500),
+                    victim: (r(0, 1) == 1).then(|| r(0, cores as u64 - 1) as usize),
+                },
+                _ => ComponentSpec::TickGate {
+                    core: r(0, cores as u64 - 1) as usize,
+                    period: r(1, 50_000),
+                    start: r(0, 50_000),
+                    count: r(0, 100),
+                },
+            })
+            .collect();
+        MachineConfig {
+            cores,
+            cores_per_socket: r(1, cores as u64) as usize,
+            hop_intra: r(0, 200),
+            hop_cross: r(0, u64::MAX),
+            home_policy: POLICIES[r(0, 2) as usize],
+            dir_occupancy: r(0, 16),
+            cache_occupancy: r(0, 16),
+            delay_jitter_pct: r(0, 100),
+            hit_cycles: r(0, 10),
+            rmw_cycles: r(0, 40),
+            op_cycles: r(0, 10),
+            alloc_cycles: r(0, 100),
+            xbegin_cycles: r(0, 40),
+            xend_cycles: r(0, 40),
+            mesi_exclusive: r(0, 1) == 1,
+            microarch_fix: r(0, 1) == 1,
+            spurious_abort_ppm: r(0, 1_000_000),
+            tx_capacity_lines: r(0, 64) as usize,
+            sched_perturb: r(0, 1_000),
+            seed: r(0, u64::MAX),
+            fast_path: r(0, 1) == 1,
+            trace: r(0, 1) == 1,
+            check_invariants: r(0, 1) == 1,
+            components,
+        }
+    }
+
+    #[test]
+    fn text_form_roundtrips_exactly() {
+        let mut rng = simrng::SimRng::seed_from_u64(0xc0f1);
+        let mut policies = [false; 3];
+        let mut kinds = [false; 2];
+        for _ in 0..512 {
+            let cfg = random_config(&mut rng);
+            policies[cfg.home_policy as usize] = true;
+            for c in &cfg.components {
+                kinds[matches!(c, ComponentSpec::TickGate { .. }) as usize] = true;
+            }
+            let text = cfg.to_text();
+            assert_eq!(MachineConfig::from_text(&text), Ok(cfg), "{text}");
+        }
+        assert_eq!((policies, kinds), ([true; 3], [true; 2]));
+        let d = MachineConfig::default();
+        assert_eq!(MachineConfig::from_text(&d.to_text()), Ok(d));
+    }
+
+    #[test]
+    fn text_form_rejects_bad_input() {
+        let good = MachineConfig::single_socket(4).to_text();
+        let err = |text: &str| MachineConfig::from_text(text).unwrap_err();
+        assert!(err(&format!("{good}nope=1\n")).contains("unknown machine key `nope`"));
+        assert!(err(&good.replace("hop-intra=", "hop=")).contains("unknown machine key `hop`"));
+        assert!(err(&format!("{good}hop-intra=3\n")).contains("duplicate machine key `hop-intra`"));
+        let seed = format!("seed={}\n", MachineConfig::default().seed);
+        assert!(err(&good.replace(&seed, "")).contains("missing machine key `seed`"));
+        assert!(err(&good.replace("cores=4\n", "cores=0\n")).contains("must be positive"));
+        let with = |c: &str| good.replace("components=", &format!("components={c}"));
+        assert!(err(&with("interrupt:0:5:5:rr")).contains("period must be nonzero"));
+        assert!(err(&with("tick-gate:4:100:0:0")).contains("core 4 is out of range"));
+        assert!(err(&with("tick-gate:1:100")).contains("bad value"));
+        assert!(err(&good.replace("fast-path=1", "fast-path=2")).contains("bad value"));
+        assert!(err(&good.replace("home-policy=fixed", "home-policy=near")).contains("bad value"));
+        assert!(err("cores 4").contains("expected key=value"));
     }
 }

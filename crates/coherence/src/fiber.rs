@@ -38,12 +38,12 @@ use std::cell::Cell;
 use std::mem::MaybeUninit;
 
 /// The fiber link's stack size: 64 KiB per simulated core. Simulated
-/// programs are shallow (queue operations plus the `htm` combinators);
-/// measured canary high-water marks sit well under 32 KiB even in debug
-/// builds, and at 64 KiB a paper-scale 176-core machine keeps all its
-/// stacks in ~11 MiB instead of the 177 MiB the old fixed 1 MiB layout
-/// needed. The canary check at every handoff turns an overflow into a
-/// panic rather than silent corruption.
+/// programs are shallow (queue operations plus the `htm` combinators),
+/// and at 64 KiB a paper-scale 176-core machine keeps all its stacks in
+/// ~11 MiB instead of the 177 MiB the old fixed 1 MiB layout needed.
+/// Every run of every suite is the check that this suffices: the canary
+/// test at each handoff fails a run whose program outgrows its stack
+/// instead of letting it corrupt memory.
 pub const DEFAULT_STACK: usize = 1 << 16;
 
 /// Written to the lowest stack word at creation; overwritten only by a
@@ -59,17 +59,7 @@ pub struct Fiber {
     /// zeroing every stack is a measurable fixed cost per `Machine`
     /// run, and stack memory is always written before it is read.
     stack: Box<[MaybeUninit<u128>]>,
-    /// Number of low words holding the canary paint (0 when unpainted —
-    /// only the index-0 sentinel exists then). Set by [`Fiber::paint`];
-    /// gates [`Fiber::high_water`] so it never reads uninitialized
-    /// words.
-    painted: usize,
 }
-
-/// Words at the stack top consumed by the bootstrap frame and the entry
-/// closure slot (96 bytes: the 80-byte register frame plus the 16-byte
-/// `Box<dyn FnOnce()>`).
-const FRAME_WORDS: usize = 6;
 
 impl Fiber {
     /// Builds a fiber that runs `f` when first switched to, returning the
@@ -113,35 +103,7 @@ impl Fiber {
             (top.sub(80) as *mut u64).write((0x037F_u64 << 32) | 0x1F80);
         }
         let rsp = unsafe { top.sub(80) };
-        (Fiber { stack, painted: 0 }, rsp)
-    }
-
-    /// Paints every stack word below the bootstrap frame with the canary
-    /// pattern so [`Fiber::high_water`] can report the deepest word the
-    /// fiber ever touched. Call before the fiber is first entered; costs
-    /// one memset, which is why it is opt-in
-    /// (`MachineConfig::measure_stacks`) rather than the default.
-    pub fn paint(&mut self) {
-        let end = self.stack.len().saturating_sub(FRAME_WORDS);
-        for w in &mut self.stack[..end] {
-            w.write(CANARY);
-        }
-        self.painted = end;
-    }
-
-    /// Stack high-water mark, bytes: the distance from the stack top to
-    /// the deepest non-canary word. `None` unless [`Fiber::paint`] ran
-    /// (unpainted words are uninitialized and must not be read). A fiber
-    /// that never ran past its bootstrap frame reports the frame size.
-    pub fn high_water(&self) -> Option<usize> {
-        if self.painted == 0 {
-            return None;
-        }
-        // SAFETY: words below `painted` were all written by `paint`.
-        let first_dirty = (0..self.painted)
-            .find(|&i| unsafe { self.stack[i].assume_init_read() } != CANARY)
-            .unwrap_or(self.painted);
-        Some((self.stack.len() - first_dirty) * 16)
+        (Fiber { stack }, rsp)
     }
 
     /// True while the canary at the low end of the stack is intact. A
@@ -290,44 +252,5 @@ mod tests {
         unsafe { switch(&main_ctx, entry) };
         assert_eq!(out.get(), (1..=1000u64).sum::<u64>());
         assert!(fb.canary_ok());
-    }
-
-    /// A painted stack reports a high-water mark that tracks actual use.
-    #[test]
-    fn paint_reports_high_water() {
-        // Each frame must really hold its 64-byte `pad` across the
-        // recursive call: its contents come out of `black_box`, and its
-        // address goes back in after the call, so release codegen can
-        // neither fold it to a constant nor keep it in registers.
-        fn burn(n: u64) -> u64 {
-            let pad = std::hint::black_box([n; 8]);
-            if n == 0 {
-                pad[0]
-            } else {
-                burn(n - 1) + std::hint::black_box(&pad)[7]
-            }
-        }
-        let main_ctx = Rc::new(Cell::new(std::ptr::null_mut::<u8>()));
-        let (mut fb, entry) = {
-            let main_ctx = Rc::clone(&main_ctx);
-            Fiber::new(
-                1 << 20,
-                Box::new(move || {
-                    std::hint::black_box(burn(100));
-                    loop {
-                        unsafe { switch(&Cell::new(std::ptr::null_mut()), main_ctx.get()) };
-                    }
-                }),
-            )
-        };
-        assert_eq!(fb.high_water(), None, "unpainted stacks are unreadable");
-        fb.paint();
-        unsafe { switch(&main_ctx, entry) };
-        assert!(fb.canary_ok());
-        let hwm = fb.high_water().expect("painted");
-        // 100 frames of at least 64 bytes of locals each, but nowhere
-        // near the 1 MiB reservation.
-        assert!(hwm >= 100 * 64, "high-water {hwm} implausibly small");
-        assert!(hwm < 1 << 19, "high-water {hwm} implausibly large");
     }
 }

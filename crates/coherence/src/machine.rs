@@ -277,8 +277,6 @@ struct FiberLink {
     #[allow(clippy::vec_box)]
     chans: Vec<Box<Chan>>,
     fibers: Vec<Option<fiber::Fiber>>,
-    /// Paint each stack at spawn (`MachineConfig::measure_stacks`).
-    paint: bool,
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -313,10 +311,7 @@ impl Link for FiberLink {
                 unsafe { fiber::switch(&ch.fiber_rsp, ch.sched_rsp.get()) };
             }
         });
-        let (mut fb, entry_ctx) = fiber::Fiber::new(fiber::DEFAULT_STACK, entry);
-        if self.paint {
-            fb.paint();
-        }
+        let (fb, entry_ctx) = fiber::Fiber::new(fiber::DEFAULT_STACK, entry);
         self.chans[core].fiber_rsp.set(entry_ctx);
         self.fibers[core] = Some(fb);
         self.xchg(core)
@@ -638,21 +633,14 @@ impl Machine {
                 })
                 .collect(),
             fibers: (0..slots).map(|_| None).collect(),
-            paint: self.cfg.measure_stacks,
         };
         let mut report = self.run_on(&mut link, setup, programs);
 
-        // Scheduler-footprint accounting: total stack reservation, plus
-        // the canary high-water mark when the stacks were painted. Like
-        // `Stats::events` these describe the host, not the protocol, and
-        // stay out of every determinism fingerprint.
-        let spawned = link.fibers.iter().flatten();
-        report.stats.stack_bytes_total =
-            spawned.clone().count() as u64 * fiber::DEFAULT_STACK as u64;
-        if link.paint {
-            report.stats.stack_high_water =
-                spawned.filter_map(|f| f.high_water()).max().unwrap_or(0) as u64;
-        }
+        // Scheduler-footprint accounting: the total stack reservation.
+        // Like `Stats::events` it describes the host, not the protocol,
+        // and stays out of every determinism fingerprint.
+        let spawned = link.fibers.iter().flatten().count() as u64;
+        report.stats.stack_bytes_total = spawned * fiber::DEFAULT_STACK as u64;
         report
     }
 

@@ -253,6 +253,8 @@ pub struct Sim {
 
 impl Sim {
     pub fn new(cfg: Arc<MachineConfig>) -> Self {
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid MachineConfig: {e}"));
         // +1 for the bootstrap core used by the setup phase.
         let ncaches = cfg.cores + 1;
         let caches = (0..ncaches).map(|c| Cache::new(cfg.socket_of(c))).collect();
@@ -261,7 +263,7 @@ impl Sim {
         let comps = cfg
             .components
             .iter()
-            .map(|spec| Some(component::build(spec, cfg.cores)))
+            .map(|spec| Some(component::build(spec)))
             .collect();
         let nsockets = cfg.sockets();
         let mut sim = Sim {

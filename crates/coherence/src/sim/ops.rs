@@ -303,7 +303,8 @@ impl Sim {
     }
 
     fn commit_txn(&mut self, core: usize) {
-        if self.cfg.spurious_abort_prob > 0.0 && self.rng.gen_bool(self.cfg.spurious_abort_prob) {
+        let ppm = self.cfg.spurious_abort_ppm;
+        if ppm > 0 && self.rng.gen_bool(ppm as f64 / 1e6) {
             self.stats.tx_aborts_spurious += 1;
             self.abort_txn(core, txn::SPURIOUS);
             return;

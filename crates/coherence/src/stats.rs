@@ -89,10 +89,6 @@ pub struct Stats {
     /// 0 on the thread link, whose cores run on OS-thread stacks, and
     /// excluded from the determinism fingerprint.
     pub stack_bytes_total: u64,
-    /// Deepest stack use, bytes, observed over all fibers via the canary
-    /// paint. 0 unless `MachineConfig::measure_stacks` was set (and
-    /// always 0 on the thread link).
-    pub stack_high_water: u64,
     /// Memory operations executed, indexed by [`OP_KINDS`].
     ops: [u64; OP_KINDS.len()],
 }

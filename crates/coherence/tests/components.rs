@@ -1,8 +1,8 @@
 //! Component-spine behaviour: interrupt sources abort transactions with
 //! `txn::INTERRUPT` and stay deterministic across runs and links;
-//! tick gates pace `wait_tick()` consumers (banking early releases);
-//! heartbeats are provably benign; and a paced thread with no gate fails
-//! the deadlock assertion with a hint instead of hanging.
+//! tick gates pace `wait_tick()` consumers (banking early releases), and
+//! a gate no core waits on is provably benign; and a paced thread with
+//! no gate fails the deadlock assertion with a hint instead of hanging.
 
 use absmem::ThreadCtx;
 use coherence::machine::testhooks::run_on_threads;
@@ -231,9 +231,9 @@ fn early_gate_firings_are_banked_not_lost() {
 }
 
 #[test]
-fn unlimited_gates_and_heartbeats_do_not_stall_run_end() {
-    // count = 0 gates/heartbeats keep requesting ticks forever; the run
-    // still ends when the last thread retires.
+fn unlimited_gates_do_not_stall_run_end() {
+    // count = 0 gates keep requesting ticks forever; the run still ends
+    // when the last thread retires.
     let report = paced_run(
         ComponentSpec::TickGate {
             core: 0,
@@ -248,13 +248,17 @@ fn unlimited_gates_and_heartbeats_do_not_stall_run_end() {
     assert!(report.core_end[0] >= 2_000);
 }
 
+/// A gate on a core that never calls `wait_tick()` only banks ticks:
+/// its events touch no line and no RNG, so the run cannot move.
 #[test]
-fn heartbeat_component_leaves_a_run_byte_identical() {
-    let run = |with_heartbeat: bool| {
+fn unwaited_tick_gate_leaves_a_run_byte_identical() {
+    let run = |with_gate: bool| {
         let mut cfg = MachineConfig::single_socket(3);
-        if with_heartbeat {
-            cfg.components.push(ComponentSpec::Heartbeat {
+        if with_gate {
+            cfg.components.push(ComponentSpec::TickGate {
+                core: 1,
                 period: 37,
+                start: 37,
                 count: 0,
             });
         }
@@ -283,7 +287,7 @@ fn heartbeat_component_leaves_a_run_byte_identical() {
     };
     let base = run(false);
     let beat = run(true);
-    assert!(beat.stats.comp_ticks > 0, "the heartbeat never ticked");
+    assert!(beat.stats.comp_ticks > 0, "the gate never ticked");
     assert_eq!(base.end_time, beat.end_time);
     assert_eq!(base.core_end, beat.core_end);
     let obs = |r: &RunReport| {

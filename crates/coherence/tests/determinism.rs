@@ -57,14 +57,14 @@ fn fingerprint(r: &RunReport) -> String {
 /// FAA and CAS, shared reads, exclusive writes, swap, delays, an HTM
 /// transaction with retry, allocation/free, and a mid-run barrier.
 /// `threads` runs it on the thread link instead of the default one.
-/// `heartbeat` attaches a benign no-op component — the fingerprint must
-/// not move.
+/// `idle_gate` attaches a tick gate no core waits on — the fingerprint
+/// must not move.
 fn fixed_workload_full(
     cores: usize,
     dual_socket: bool,
     threads: bool,
     fast_path: bool,
-    heartbeat: bool,
+    idle_gate: bool,
 ) -> RunReport {
     let mut cfg = if dual_socket {
         MachineConfig::dual_socket(cores.div_ceil(2))
@@ -72,13 +72,10 @@ fn fixed_workload_full(
         MachineConfig::single_socket(cores)
     };
     cfg.delay_jitter_pct = 0;
-    cfg.spurious_abort_prob = 0.0;
+    cfg.spurious_abort_ppm = 0;
     cfg.fast_path = fast_path;
-    if heartbeat {
-        cfg.components.push(ComponentSpec::Heartbeat {
-            period: 61,
-            count: 0,
-        });
+    if idle_gate {
+        cfg.components.push(idle_gate_on_core_0(61));
     }
     let shared = Arc::new(AtomicU64::new(0));
     let programs: Vec<Program> = (0..cores)
@@ -297,23 +294,34 @@ fn links_agree_with_each_other() {
     }
 }
 
-/// A benign (no-op) component must leave the run byte-identical to the
-/// component-free goldens: its ticks are ordinary events that touch no
-/// core, no line, and no RNG, so the observable machine cannot move.
-/// This is the component spine's central determinism claim.
+/// A tick gate on core 0, which never calls `wait_tick()`: every
+/// firing only banks a tick, so no thread can see the gate.
+fn idle_gate_on_core_0(period: u64) -> ComponentSpec {
+    ComponentSpec::TickGate {
+        core: 0,
+        period,
+        start: period,
+        count: 0,
+    }
+}
+
+/// A component no thread can see must leave the run byte-identical to
+/// the component-free goldens: its ticks are ordinary events that touch
+/// no line and no RNG, so the observable machine cannot move. This is
+/// the component spine's central determinism claim.
 #[test]
 fn benign_component_matches_component_free_goldens() {
     let fp = fingerprint(&fixed_workload_full(4, false, false, true, true));
     assert_eq!(
         normalize(&fp),
         normalize(GOLDEN_4_SINGLE),
-        "a no-op heartbeat component perturbed the single-socket golden"
+        "an idle tick gate perturbed the single-socket golden"
     );
     let fp = fingerprint(&fixed_workload_full(6, true, true, true, true));
     assert_eq!(
         normalize(&fp),
         normalize(GOLDEN_6_DUAL),
-        "a no-op heartbeat component perturbed the dual-socket golden (thread link)"
+        "an idle tick gate perturbed the dual-socket golden (thread link)"
     );
 }
 
@@ -327,10 +335,10 @@ fn randomized_faulty_workload_on(seed: u64, threads: bool) -> RunReport {
     randomized_faulty_workload_full(seed, threads, false)
 }
 
-/// As above, optionally with a benign heartbeat component attached
-/// *after* the RNG-derived knobs, so the config derivation stream is
-/// untouched and the fingerprint must match the component-free run.
-fn randomized_faulty_workload_full(seed: u64, threads: bool, heartbeat: bool) -> RunReport {
+/// As above, optionally with an idle tick gate attached *after* the
+/// RNG-derived knobs, so the config derivation stream is untouched and
+/// the fingerprint must match the component-free run.
+fn randomized_faulty_workload_full(seed: u64, threads: bool, idle_gate: bool) -> RunReport {
     let mut rng = simrng::SimRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xd1f7);
     let cores = rng.gen_range_inclusive(2, 6) as usize;
     let dual = rng.gen_bool(0.4);
@@ -340,7 +348,7 @@ fn randomized_faulty_workload_full(seed: u64, threads: bool, heartbeat: bool) ->
         MachineConfig::single_socket(cores)
     };
     cfg.delay_jitter_pct = rng.gen_range_inclusive(0, 80);
-    cfg.spurious_abort_prob = rng.gen_range_inclusive(0, 200_000) as f64 / 1e6;
+    cfg.spurious_abort_ppm = rng.gen_range_inclusive(0, 200_000);
     cfg.sched_perturb = rng.gen_range_inclusive(0, 500);
     // Capacity 0 = unbounded; small limits abort the fixture's 2-line
     // transaction, exercising the retry-then-give-up path.
@@ -351,11 +359,8 @@ fn randomized_faulty_workload_full(seed: u64, threads: bool, heartbeat: bool) ->
     };
     cfg.microarch_fix = rng.gen_bool(0.5);
     cfg.seed = rng.next_u64();
-    if heartbeat {
-        cfg.components.push(ComponentSpec::Heartbeat {
-            period: 97,
-            count: 0,
-        });
+    if idle_gate {
+        cfg.components.push(idle_gate_on_core_0(97));
     }
 
     let shared = Arc::new(AtomicU64::new(0));
@@ -393,9 +398,9 @@ fn randomized_faulty_workload_full(seed: u64, threads: bool, heartbeat: bool) ->
 /// Differential fuzz across links: 32 random seeds, all fault knobs
 /// active, fiber vs thread-link fingerprints must be identical — the
 /// simfuzz harness depends on this to make its artifacts
-/// link-independent. Each seed additionally runs with a benign
-/// heartbeat component attached (default link), which must match the
-/// component-free fingerprint byte for byte. Each seed's fingerprint
+/// link-independent. Each seed additionally runs with an idle tick
+/// gate attached (default link), which must match the component-free
+/// fingerprint byte for byte. Each seed's fingerprint
 /// triple is one job on a `runner` pool; since every seed builds its own
 /// `Machine`, the seeds are independent and the pool's submission-order
 /// merge reports the *lowest* diverging seed whatever finishes first.
@@ -420,7 +425,7 @@ fn links_agree_on_randomized_fault_injection_workloads() {
         );
         assert_eq!(
             fibers, with_comp,
-            "a benign no-op component changed the run at fault seed {seed}"
+            "an idle tick gate changed the run at fault seed {seed}"
         );
     }
 }

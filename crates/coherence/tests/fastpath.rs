@@ -84,7 +84,7 @@ fn fixture(cores: usize, dual_socket: bool, fast_path: bool, threads: bool) -> R
         MachineConfig::single_socket(cores)
     };
     cfg.delay_jitter_pct = 0;
-    cfg.spurious_abort_prob = 0.0;
+    cfg.spurious_abort_ppm = 0;
     cfg.fast_path = fast_path;
     cfg.trace = true;
     let shared = Arc::new(AtomicU64::new(0));
@@ -249,7 +249,7 @@ fn randomized_workload(seed: u64, fast_path: bool) -> RunReport {
         MachineConfig::single_socket(cores)
     };
     cfg.delay_jitter_pct = rng.gen_range_inclusive(0, 80);
-    cfg.spurious_abort_prob = rng.gen_range_inclusive(0, 200_000) as f64 / 1e6;
+    cfg.spurious_abort_ppm = rng.gen_range_inclusive(0, 200_000);
     cfg.sched_perturb = 0;
     cfg.tx_capacity_lines = if rng.gen_bool(0.3) {
         rng.gen_range_inclusive(1, 8) as usize

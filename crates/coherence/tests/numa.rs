@@ -75,24 +75,6 @@ fn machine_176_cores_fits_the_stack_budget() {
     );
 }
 
-/// With `measure_stacks` on, the canary scan reports a real high-water
-/// mark that fits comfortably inside the 64 KiB default — the evidence
-/// behind shrinking `DEFAULT_STACK` from 1 MiB.
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn measured_stack_high_water_fits_the_default() {
-    let mut cfg = MachineConfig::dual_socket(4);
-    cfg.measure_stacks = true;
-    let budget = coherence::fiber::DEFAULT_STACK as u64;
-    let report = striped_workload(cfg);
-    let hwm = report.stats.stack_high_water;
-    assert!(hwm > 0, "canary scan found no dirtied stack at all");
-    assert!(
-        hwm < budget,
-        "measured high-water mark {hwm} does not fit the {budget}-byte default"
-    );
-}
-
 // ---------------------------------------------------------------------
 // Home-socket policies.
 // ---------------------------------------------------------------------

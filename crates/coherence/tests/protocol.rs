@@ -359,7 +359,7 @@ fn delay_is_interruptible_by_abort() {
 #[test]
 fn spurious_aborts_injected() {
     let mut cfg = MachineConfig::single_socket(1);
-    cfg.spurious_abort_prob = 1.0;
+    cfg.spurious_abort_ppm = 1_000_000;
     let (report, vals) = run_n(cfg, word_setup, |ctx, a| {
         let r = (|| -> coherence::TxResult<()> {
             ctx.tx_begin()?;

@@ -199,10 +199,10 @@ mod tests {
     fn run_txcas_race(
         cores: usize,
         params: TxCasParams,
-        spurious: f64,
+        spurious_ppm: u64,
     ) -> (coherence::RunReport, Vec<(bool, TxCasStats)>) {
         let mut cfg = MachineConfig::single_socket(cores);
-        cfg.spurious_abort_prob = spurious;
+        cfg.spurious_abort_ppm = spurious_ppm;
         cfg.check_invariants = false;
         let shared = Arc::new(AtomicU64::new(0));
         let results = Arc::new(Mutex::new(Vec::new()));
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn contended_txcas_elects_exactly_one_winner() {
         for cores in [2usize, 4, 8] {
-            let (_, results) = run_txcas_race(cores, TxCasParams::default(), 0.0);
+            let (_, results) = run_txcas_race(cores, TxCasParams::default(), 0);
             let winners = results.iter().filter(|(ok, _)| *ok).count();
             assert_eq!(winners, 1, "cores={cores}: exactly one TxCAS must win");
         }
@@ -273,7 +273,7 @@ mod tests {
         // CAS semantics: every `false` return implies the winner's value
         // was installed; since all CAS the same old value 0, the final
         // value must be the winner's.
-        let (_, results) = run_txcas_race(6, TxCasParams::default(), 0.0);
+        let (_, results) = run_txcas_race(6, TxCasParams::default(), 0);
         let winners: Vec<usize> = results
             .iter()
             .enumerate()
@@ -295,7 +295,7 @@ mod tests {
     fn spurious_aborts_are_retried_not_failed() {
         // With a 50% spurious abort rate and one thread, TxCAS must still
         // succeed (retry path), never report a false failure.
-        let (_, results) = run_txcas_race(1, TxCasParams::default(), 0.5);
+        let (_, results) = run_txcas_race(1, TxCasParams::default(), 500_000);
         assert!(results[0].0, "spurious aborts must not fail the CAS");
     }
 
@@ -307,7 +307,7 @@ mod tests {
             max_retries: 3,
             ..Default::default()
         };
-        let (_, results) = run_txcas_race(1, params, 1.0);
+        let (_, results) = run_txcas_race(1, params, 1_000_000);
         let (ok, stats) = &results[0];
         assert!(*ok, "fallback CAS must succeed");
         assert_eq!(stats.fallbacks, 1);

@@ -48,6 +48,24 @@ impl Default for QueueParams {
 }
 
 impl QueueParams {
+    /// Parameters for correctness runs (fuzz plans, component scenarios):
+    /// short TxCAS delays buy more schedules per simulated cycle, and few
+    /// retries let injected-abort storms reach the fallback path quickly.
+    pub fn for_checking(threads: usize) -> QueueParams {
+        QueueParams {
+            max_threads: threads,
+            enqueuers: threads,
+            basket_capacity: threads.max(44),
+            txcas: TxCasParams {
+                intra_delay: 200,
+                post_abort_delay: 40,
+                max_retries: 12,
+            },
+            delay_cycles: 200,
+            reclaim: true,
+        }
+    }
+
     fn queue_config(&self) -> QueueConfig {
         QueueConfig {
             max_threads: self.max_threads,

@@ -27,7 +27,6 @@ use crate::queues::{QueueKind, QueueParams};
 use coherence::{ComponentSpec, MachineConfig, RunReport};
 use linearize::{check_queue_linearizable, Op, Violation};
 use obs::{ObsSink, TraceMeta};
-use sbq::txcas::TxCasParams;
 use std::sync::Arc;
 
 /// The three component-actor families a scenario can stage.
@@ -140,21 +139,6 @@ pub struct ScenarioOutcome {
     pub chrome_json: Option<String>,
 }
 
-fn queue_params(threads: usize) -> QueueParams {
-    QueueParams {
-        max_threads: threads,
-        enqueuers: threads,
-        basket_capacity: threads.max(44),
-        txcas: TxCasParams {
-            intra_delay: 200,
-            post_abort_delay: 40,
-            max_retries: 12,
-        },
-        delay_cycles: 200,
-        reclaim: true,
-    }
-}
-
 /// The machine, op streams, pacing, and components a spec stages. The
 /// actor thread (Timer consumer / Dma enqueuer) always runs last, as
 /// thread id `workers`.
@@ -236,7 +220,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     let (cfg, ops, pace) = stage(spec);
     let threads = ops.len();
     let mut backend = SimBackend::new(cfg);
-    let mut drive = DriveSpec::new(queue_params(threads), ops, true);
+    let mut drive = DriveSpec::new(QueueParams::for_checking(threads), ops, true);
     drive.pace = pace;
     let sink = spec.trace.then(|| Arc::new(ObsSink::default()));
     drive.obs = sink.clone();

@@ -11,10 +11,8 @@
 //!
 //! * [`plan`]: [`LoadPlan`] — seed, arrival pattern ([`ArrivalPattern`]:
 //!   Poisson / bursty on-off / diurnal ramp), rate, stage-thread counts,
-//!   and service time, all integers, round-tripping exactly through a
-//!   `key value` text artifact like `simfuzz::FuzzPlan`. Arrival times
-//!   are precomputed from the seed, so offered load never depends on
-//!   service progress.
+//!   and service time, all integers. Arrival times are precomputed from
+//!   the seed, so offered load never depends on service progress.
 //! * [`stage`]: the driven stage graph — sources replay the schedule
 //!   into an **ingress** queue, a worker pool services requests into an
 //!   **egress** queue, and egress threads timestamp completion. Both
@@ -35,6 +33,6 @@ pub mod stage;
 pub mod sweep;
 
 pub use knee::{find_knee, Knee, KneeProbe, KneeReason};
-pub use plan::{parse_plan, ArrivalPattern, LoadPlan, CLOCK_HZ, PLAN_VERSION};
+pub use plan::{ArrivalPattern, LoadPlan, CLOCK_HZ};
 pub use stage::{machine_for, run_load, run_load_on, LoadPoint, LoadRun};
 pub use sweep::{default_rates, run_sweep, to_json, to_tsv, SweepResult, SweepSpec};

@@ -1,6 +1,5 @@
 //! Load plans: everything that determines one open-loop run, stored as
-//! integers so a plan round-trips exactly through its text artifact —
-//! the same reproduction contract as `simfuzz::FuzzPlan`.
+//! integers so a plan is a pure, exactly comparable value.
 //!
 //! A plan owns the **arrival process**: the request arrival times are a
 //! pure function of `(seed, pattern, rate_rps, requests)` and are
@@ -15,9 +14,6 @@ use simrng::SimRng;
 /// Nominal clock in cycles per second. Must agree with
 /// [`coherence::GHZ`]; pinned by a unit test below.
 pub const CLOCK_HZ: u64 = 2_200_000_000;
-
-/// Bumped whenever the plan fields or their meaning change.
-pub const PLAN_VERSION: u64 = 1;
 
 /// How request arrivals are distributed in time. All parameters are
 /// integers (cycles or permille of the plan's mean rate).
@@ -45,7 +41,7 @@ pub enum ArrivalPattern {
 }
 
 impl ArrivalPattern {
-    /// Stable token used by the text artifact and TSV output.
+    /// Stable token used by the TSV and JSON output.
     pub fn name(&self) -> &'static str {
         match self {
             ArrivalPattern::Poisson => "poisson",
@@ -258,37 +254,6 @@ impl LoadPlan {
         let max_extra = self.service_cycles * self.service_jitter_pct / 100;
         self.service_cycles + rng.gen_range_inclusive(0, max_extra)
     }
-
-    /// Renders the plan as the `key value` text artifact (the format
-    /// [`parse_plan`] reads back; all values integers, lossless).
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str("# loadgen plan — open-loop arrival process + stage graph\n");
-        s.push_str(&format!("version {PLAN_VERSION}\n"));
-        let pattern = match self.pattern {
-            ArrivalPattern::Poisson => "poisson".to_string(),
-            ArrivalPattern::Bursty {
-                on_cycles,
-                off_cycles,
-            } => format!("bursty {on_cycles} {off_cycles}"),
-            ArrivalPattern::Diurnal {
-                low_permille,
-                high_permille,
-                period_cycles,
-            } => format!("diurnal {low_permille} {high_permille} {period_cycles}"),
-        };
-        s.push_str(&format!("pattern {pattern}\n"));
-        s.push_str(&format!("seed {}\n", self.seed));
-        s.push_str(&format!("rate-rps {}\n", self.rate_rps));
-        s.push_str(&format!("requests {}\n", self.requests));
-        s.push_str(&format!("sources {}\n", self.sources));
-        s.push_str(&format!("workers {}\n", self.workers));
-        s.push_str(&format!("egress {}\n", self.egress));
-        s.push_str(&format!("service-cycles {}\n", self.service_cycles));
-        s.push_str(&format!("service-jitter-pct {}\n", self.service_jitter_pct));
-        s.push_str(&format!("poll-cycles {}\n", self.poll_cycles));
-        s
-    }
 }
 
 /// `v * num / den` without intermediate overflow.
@@ -303,76 +268,6 @@ fn exp_gap(rng: &mut SimRng, mean: u64) -> u64 {
     // the stream is deterministic for a fixed seed.
     let u = ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
     ((-u.ln() * mean as f64).round() as u64).max(1)
-}
-
-/// Parses [`LoadPlan::to_text`] output back into a plan.
-pub fn parse_plan(text: &str) -> Result<LoadPlan, String> {
-    let mut kv: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (k, v) = line
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| format!("malformed line: {line:?}"))?;
-        kv.insert(k, v.trim());
-    }
-    let int = |key: &str| -> Result<u64, String> {
-        kv.get(key)
-            .ok_or_else(|| format!("missing key: {key}"))?
-            .parse::<u64>()
-            .map_err(|e| format!("bad value for {key}: {e}"))
-    };
-    let version = int("version")?;
-    if version != PLAN_VERSION {
-        return Err(format!(
-            "unsupported plan version {version} (expected {PLAN_VERSION})"
-        ));
-    }
-    let pattern_str = kv.get("pattern").ok_or("missing key: pattern")?;
-    let mut parts = pattern_str.split_whitespace();
-    let pattern = match parts.next() {
-        Some("poisson") => ArrivalPattern::Poisson,
-        Some("bursty") => {
-            let p = |n: Option<&str>| -> Result<u64, String> {
-                n.ok_or("bursty needs ON OFF")?
-                    .parse()
-                    .map_err(|e| format!("bad bursty param: {e}"))
-            };
-            ArrivalPattern::Bursty {
-                on_cycles: p(parts.next())?,
-                off_cycles: p(parts.next())?,
-            }
-        }
-        Some("diurnal") => {
-            let p = |n: Option<&str>| -> Result<u64, String> {
-                n.ok_or("diurnal needs LOW HIGH PERIOD")?
-                    .parse()
-                    .map_err(|e| format!("bad diurnal param: {e}"))
-            };
-            ArrivalPattern::Diurnal {
-                low_permille: p(parts.next())?,
-                high_permille: p(parts.next())?,
-                period_cycles: p(parts.next())?,
-            }
-        }
-        other => return Err(format!("unknown pattern: {other:?}")),
-    };
-    let plan = LoadPlan {
-        seed: int("seed")?,
-        pattern,
-        rate_rps: int("rate-rps")?,
-        requests: int("requests")?,
-        sources: int("sources")? as usize,
-        workers: int("workers")? as usize,
-        egress: int("egress")? as usize,
-        service_cycles: int("service-cycles")?,
-        service_jitter_pct: int("service-jitter-pct")?,
-        poll_cycles: int("poll-cycles")?,
-    };
-    plan.validate()?;
-    Ok(plan)
 }
 
 /// Seed-domain separator: keeps the arrival stream disjoint from every

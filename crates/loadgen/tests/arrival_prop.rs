@@ -2,7 +2,7 @@
 //! the load layer's foundation, so its statistical and determinism
 //! contracts are pinned across many seeds.
 
-use loadgen::{parse_plan, ArrivalPattern, LoadPlan, CLOCK_HZ};
+use loadgen::{ArrivalPattern, LoadPlan, CLOCK_HZ};
 
 fn plan_with(seed: u64, pattern: ArrivalPattern) -> LoadPlan {
     LoadPlan {
@@ -132,53 +132,6 @@ fn diurnal_rate_has_monotone_ramp_segments() {
     // Extremes hit the configured band.
     assert_eq!(plan.rate_at(0), 2_000_000 * 100 / 1000);
     assert_eq!(plan.rate_at(half), 2_000_000 * 2_000 / 1000);
-}
-
-#[test]
-fn plan_roundtrips_through_text_artifact() {
-    for (i, pattern) in [
-        ArrivalPattern::Poisson,
-        ArrivalPattern::Bursty {
-            on_cycles: 123,
-            off_cycles: 4_567,
-        },
-        ArrivalPattern::Diurnal {
-            low_permille: 1,
-            high_permille: 999,
-            period_cycles: 31_337,
-        },
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let plan = LoadPlan {
-            seed: 0xdead_beef + i as u64,
-            pattern,
-            rate_rps: 777_777,
-            requests: 4_242,
-            sources: 3,
-            workers: 5,
-            egress: 2,
-            service_cycles: 1_234,
-            service_jitter_pct: 40,
-            poll_cycles: 99,
-        };
-        let text = plan.to_text();
-        let back = parse_plan(&text).expect("rendered plan must parse");
-        assert_eq!(back, plan, "text artifact must round-trip exactly");
-        // And the round-tripped plan generates the identical schedule.
-        assert_eq!(back.arrival_offsets(), plan.arrival_offsets());
-    }
-}
-
-#[test]
-fn parse_rejects_corrupt_artifacts() {
-    let good = LoadPlan::default().to_text();
-    assert!(parse_plan(&good).is_ok());
-    assert!(parse_plan(&good.replace("version 1", "version 99")).is_err());
-    assert!(parse_plan(&good.replace("requests 256", "requests 0")).is_err());
-    assert!(parse_plan(&good.replace("pattern poisson", "pattern lumpy")).is_err());
-    assert!(parse_plan("").is_err());
 }
 
 #[test]

@@ -1,31 +1,32 @@
-//! Reproducer artifacts: a failing (shrunk) plan serialized as a small
-//! `key value` text file under `fuzz-artifacts/`, replayable exactly via
+//! Reproducer artifacts: the exact [`FuzzRun`] of a failing (shrunk)
+//! plan as a small text file under `fuzz-artifacts/`, replayable via
 //! `simctl fuzz repro=<file>`.
 //!
-//! The format stores every [`FuzzPlan`] field verbatim — replay builds
-//! the plan *from the stored fields*, never by re-deriving from the seed,
-//! so a shrunk plan (whose fields no longer match its seed's derivation)
-//! round-trips exactly. All values are integers, which keeps the format
-//! lossless; the violation and witness travel along as comments plus a
-//! machine-checkable `violation` kind token.
+//! The run's own fields are `key value` lines; the machine follows in
+//! its `key=value` text form ([`coherence::MachineConfig::to_text`]),
+//! every field spelled out. Replay reads that machine back rather than
+//! rebuilding it from plan knobs, so it runs what the file shows even
+//! after a default changes. Parsing is strict — an unknown, repeated or
+//! missing key is an error — and the violation and witness travel along
+//! as comments plus a machine-checkable `violation` kind token.
 
-use crate::plan::FuzzPlan;
+use crate::plan::FuzzRun;
+use coherence::MachineConfig;
 use harness::QueueKind;
 use linearize::{Event, Op, Violation};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-/// Bumped whenever the plan fields or their meaning change.
-/// v2 added the component-spine knobs (`preempt-period`, `preempt-cost`,
-/// `timer-period`); v1 artifacts predate components and are rejected
-/// rather than silently replayed without their fault model.
-pub const ARTIFACT_VERSION: u64 = 2;
+/// Bumped whenever the format or its meaning changes. v3 stores the
+/// whole machine in place of v2's ten plan knobs; older versions are
+/// rejected rather than replayed on a machine they do not describe.
+pub const ARTIFACT_VERSION: u64 = 3;
 
-/// A parsed reproducer: the plan to replay plus the violation kind the
+/// A parsed reproducer: the run to replay plus the violation kind the
 /// original run produced (for replay verification).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
-    pub plan: FuzzPlan,
+    pub run: FuzzRun,
     /// Kind token of the recorded violation (see [`violation_token`]).
     pub violation: String,
 }
@@ -56,28 +57,20 @@ fn render_op(op: &Op) -> String {
     }
 }
 
-/// Renders the artifact text for a failing plan.
-pub fn render_artifact(plan: &FuzzPlan, violation: &Violation, witness: &[Event]) -> String {
+/// Renders the artifact text for a failing run.
+pub fn render_artifact(run: &FuzzRun, violation: &Violation, witness: &[Event]) -> String {
     let mut s = String::new();
     s.push_str("# simfuzz reproducer — replay with: simctl fuzz repro=<this file>\n");
     s.push_str(&format!("# {violation}\n"));
     s.push_str(&format!("version {ARTIFACT_VERSION}\n"));
     s.push_str(&format!("violation {}\n", violation_token(violation)));
-    s.push_str(&format!("queue {}\n", queue_token(plan.queue)));
-    s.push_str(&format!("seed {}\n", plan.seed));
-    s.push_str(&format!("threads {}\n", plan.threads));
-    s.push_str(&format!("ops-per-thread {}\n", plan.ops_per_thread));
-    s.push_str(&format!("enq-permille {}\n", plan.enq_permille));
-    s.push_str(&format!("spurious-ppm {}\n", plan.spurious_ppm));
-    s.push_str(&format!("jitter-pct {}\n", plan.jitter_pct));
-    s.push_str(&format!("sched-perturb {}\n", plan.sched_perturb));
-    s.push_str(&format!("capacity-lines {}\n", plan.capacity_lines));
-    s.push_str(&format!("dual-socket {}\n", plan.dual_socket as u64));
-    s.push_str(&format!("microarch-fix {}\n", plan.microarch_fix as u64));
-    s.push_str(&format!("machine-seed {}\n", plan.machine_seed));
-    s.push_str(&format!("preempt-period {}\n", plan.preempt_period));
-    s.push_str(&format!("preempt-cost {}\n", plan.preempt_cost));
-    s.push_str(&format!("timer-period {}\n", plan.timer_period));
+    s.push_str(&format!("queue {}\n", queue_token(run.queue)));
+    s.push_str(&format!("seed {}\n", run.seed));
+    s.push_str(&format!("threads {}\n", run.threads));
+    s.push_str(&format!("ops-per-thread {}\n", run.ops_per_thread));
+    s.push_str(&format!("enq-permille {}\n", run.enq_permille));
+    s.push_str("# machine:\n");
+    s.push_str(&run.machine.to_text());
     s.push_str("# minimized witness (thread op [invoke,ret]):\n");
     for e in witness {
         s.push_str(&format!(
@@ -95,81 +88,68 @@ pub fn render_artifact(plan: &FuzzPlan, violation: &Violation, witness: &[Event]
 /// `<queue>-seed<seed>.repro` and returns the path.
 pub fn write_artifact(
     dir: &Path,
-    plan: &FuzzPlan,
+    run: &FuzzRun,
     violation: &Violation,
     witness: &[Event],
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!(
-        "{}-seed{}.repro",
-        queue_token(plan.queue),
-        plan.seed
-    ));
-    std::fs::write(&path, render_artifact(plan, violation, witness))?;
+    let path = dir.join(format!("{}-seed{}.repro", queue_token(run.queue), run.seed));
+    std::fs::write(&path, render_artifact(run, violation, witness))?;
     Ok(path)
 }
 
-/// Parses artifact text back into a replayable plan.
+/// Parses artifact text back into a replayable run.
 pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
     let mut kv: HashMap<&str, &str> = HashMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    let mut machine = String::new();
+    for line in text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        if line.contains('=') {
+            machine.push_str(line);
+            machine.push('\n');
+        } else if let Some((k, v)) = line.split_once(' ') {
+            if kv.insert(k, v).is_some() {
+                return Err(format!("duplicate key `{k}`"));
+            }
+        } else {
+            return Err(format!("malformed line: {line:?}"));
         }
-        let (k, v) = line
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| format!("malformed line: {line:?}"))?;
-        kv.insert(k, v.trim());
     }
-    let int = |key: &str| -> Result<u64, String> {
-        kv.get(key)
-            .ok_or_else(|| format!("missing key: {key}"))?
-            .parse::<u64>()
-            .map_err(|e| format!("bad value for {key}: {e}"))
-    };
-    let flag = |key: &str| -> Result<bool, String> {
-        match *kv.get(key).ok_or_else(|| format!("missing key: {key}"))? {
-            "0" | "false" => Ok(false),
-            "1" | "true" => Ok(true),
-            other => Err(format!("bad flag for {key}: {other:?}")),
-        }
-    };
-
-    let version = int("version")?;
-    if version != ARTIFACT_VERSION {
+    let mut take = |key: &str| kv.remove(key).ok_or_else(|| format!("missing key `{key}`"));
+    let version = take("version")?;
+    if version != ARTIFACT_VERSION.to_string() {
         return Err(format!(
             "unsupported artifact version {version} (expected {ARTIFACT_VERSION})"
         ));
     }
-    let queue_name = kv.get("queue").ok_or("missing key: queue")?;
-    let queue =
-        QueueKind::parse(queue_name).ok_or_else(|| format!("unknown queue: {queue_name:?}"))?;
-    let violation = kv
-        .get("violation")
-        .ok_or("missing key: violation")?
-        .to_string();
-
-    Ok(Artifact {
-        plan: FuzzPlan {
-            seed: int("seed")?,
-            queue,
-            threads: int("threads")? as usize,
-            ops_per_thread: int("ops-per-thread")?,
-            enq_permille: int("enq-permille")?,
-            spurious_ppm: int("spurious-ppm")?,
-            jitter_pct: int("jitter-pct")?,
-            sched_perturb: int("sched-perturb")?,
-            capacity_lines: int("capacity-lines")?,
-            dual_socket: flag("dual-socket")?,
-            microarch_fix: flag("microarch-fix")?,
-            machine_seed: int("machine-seed")?,
-            preempt_period: int("preempt-period")?,
-            preempt_cost: int("preempt-cost")?,
-            timer_period: int("timer-period")?,
-        },
-        violation,
-    })
+    let violation = take("violation")?.to_string();
+    let queue = take("queue")?;
+    let queue = QueueKind::parse(queue).ok_or_else(|| format!("unknown queue `{queue}`"))?;
+    let mut int = |key: &str| {
+        let v = take(key)?;
+        v.parse::<u64>()
+            .map_err(|_| format!("bad value `{v}` for `{key}`"))
+    };
+    let run = FuzzRun {
+        queue,
+        seed: int("seed")?,
+        threads: int("threads")? as usize,
+        ops_per_thread: int("ops-per-thread")?,
+        enq_permille: int("enq-permille")?,
+        machine: MachineConfig::from_text(&machine)?,
+    };
+    if let Some(k) = kv.keys().next() {
+        return Err(format!("unknown key `{k}`"));
+    }
+    if run.threads == 0 || run.threads > run.machine.cores {
+        return Err(format!(
+            "{} threads do not fit the machine's {} cores",
+            run.threads, run.machine.cores
+        ));
+    }
+    Ok(Artifact { run, violation })
 }
 
 /// Reads and parses an artifact file.
@@ -181,20 +161,26 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FuzzPlan;
+
+    fn artifact(plan: &FuzzPlan) -> String {
+        render_artifact(&plan.run(), &Violation::NoLinearization, &[])
+    }
 
     #[test]
-    fn plans_roundtrip_through_text() {
+    fn runs_roundtrip_through_text() {
         for seed in 0..32 {
             let mut plan = FuzzPlan::derive(seed, None);
             // A shrunk plan's fields diverge from the seed derivation;
-            // the artifact must carry the fields, not the seed.
+            // the artifact must carry the run, not the seed.
             plan.ops_per_thread = 2;
             plan.threads = 2;
             plan.spurious_ppm = 0;
             let v = Violation::Repeat { value: 7 };
-            let text = render_artifact(&plan, &v, &[]);
+            let text = render_artifact(&plan.run(), &v, &[]);
+            assert!(text.contains(&plan.machine().to_text()));
             let art = parse_artifact(&text).expect("parse");
-            assert_eq!(art.plan, plan);
+            assert_eq!(art.run, plan.run());
             assert_eq!(art.violation, "repeat");
         }
     }
@@ -207,48 +193,29 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_missing_and_malformed() {
+    fn parse_rejects_bad_keys_and_values() {
         assert!(parse_artifact("").is_err());
-        let plan = FuzzPlan::derive(0, None);
-        let good = render_artifact(&plan, &Violation::NoLinearization, &[]);
-        let stale = good.replace("version 2", "version 999");
-        assert!(parse_artifact(&stale).unwrap_err().contains("version"));
-        let broken = good.replace("threads", "thread-count");
-        assert!(parse_artifact(&broken).is_err());
+        let good = artifact(&FuzzPlan::derive(5, None));
+        let err = |text: String| parse_artifact(&text).unwrap_err();
+        assert!(err(good.replace("version 3", "version 999")).contains("version 999"));
+        assert!(err(good.replace("\nthreads ", "\nthread-count ")).contains("`threads`"));
+        assert!(err(good.replace("\nthreads ", "\nthreads soon")).contains("`threads`"));
+        assert!(err(good.replace("\nthreads ", "\nthreads 9")).contains("do not fit"));
+        assert!(err(format!("{good}threads 3\n")).contains("duplicate key `threads`"));
+        assert!(err(format!("{good}timer-period 9\n")).contains("unknown key `timer-period`"));
+        assert!(err(format!("{good}hop-intra=1\n")).contains("duplicate machine key"));
+        assert!(err(format!("{good}hop=1\n")).contains("unknown machine key `hop`"));
     }
 
+    /// A v2 artifact carried ten plan knobs instead of a machine; it is
+    /// rejected by version before any of its keys are read.
     #[test]
-    fn parse_rejects_pre_component_v1_artifacts() {
-        // A v1 artifact carries neither the version nor the component
-        // knobs; both defects must be caught, version first.
-        let plan = FuzzPlan::derive(3, None);
-        let good = render_artifact(&plan, &Violation::NoLinearization, &[]);
-        let v1 = good
-            .replace("version 2", "version 1")
-            .lines()
-            .filter(|l| {
-                !l.starts_with("preempt-period")
-                    && !l.starts_with("preempt-cost")
-                    && !l.starts_with("timer-period")
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(parse_artifact(&v1).unwrap_err().contains("version 1"));
-        // Even with a forged current version, the missing knobs reject.
-        let forged = v1.replace("version 1", "version 2");
-        assert!(parse_artifact(&forged)
-            .unwrap_err()
-            .contains("preempt-period"));
-    }
-
-    #[test]
-    fn parse_rejects_corrupt_component_knobs() {
-        let plan = FuzzPlan::derive(5, None);
-        let good = render_artifact(&plan, &Violation::NoLinearization, &[]);
-        let line = format!("timer-period {}", plan.timer_period);
-        let corrupt = good.replace(line.as_str(), "timer-period soon");
-        assert!(parse_artifact(&corrupt)
-            .unwrap_err()
-            .contains("timer-period"));
+    fn parse_rejects_v2_artifacts() {
+        let v2 = "version 2\nviolation repeat\nqueue msqueue\nseed 3\nthreads 2\n\
+                  ops-per-thread 4\nenq-permille 500\nspurious-ppm 0\njitter-pct 9\n\
+                  sched-perturb 0\ncapacity-lines 0\ndual-socket 0\nmicroarch-fix 1\n\
+                  machine-seed 77\npreempt-period 0\npreempt-cost 100\ntimer-period 0\n";
+        let e = parse_artifact(v2).unwrap_err();
+        assert!(e.contains("unsupported artifact version 2"), "{e}");
     }
 }

@@ -45,10 +45,9 @@ pub use artifact::{
     parse_artifact, read_artifact, render_artifact, write_artifact, Artifact, ARTIFACT_VERSION,
 };
 pub use harness::{BackendKind, QueueKind, QueueParams};
-pub use plan::{FuzzPlan, FUZZ_QUEUES};
+pub use plan::{FuzzPlan, FuzzRun, FUZZ_QUEUES};
 pub use run::{
-    crosscheck_plan, run_plan, run_plan_native, run_plan_sim, trace_plan, CrosscheckOutcome,
-    RunOutcome,
+    crosscheck_plan, run_native, run_plan, run_sim, trace_plan, CrosscheckOutcome, RunOutcome,
 };
 pub use shrink::{shrink_plan, ShrinkOutcome, DEFAULT_SHRINK_BUDGET};
 
@@ -263,7 +262,7 @@ pub fn run_campaign(
         let Some(kind) = out.kind else { return };
         let (artifact, trace) = match (&out.shrunk, cfg.artifacts_dir.as_deref()) {
             (Some(s), Some(dir)) => {
-                let artifact = write_artifact(dir, &s.plan, &s.violation, &s.witness).ok();
+                let artifact = write_artifact(dir, &s.plan.run(), &s.violation, &s.witness).ok();
                 let trace = match (&artifact, &out.trace_text) {
                     (Some(p), Some(text)) => {
                         let tp = p.with_extension("trace");
@@ -290,8 +289,6 @@ pub fn run_campaign(
 /// Result of replaying an artifact.
 #[derive(Debug)]
 pub struct ReproOutcome {
-    /// The plan that was replayed.
-    pub plan: FuzzPlan,
     /// Violation kind token recorded in the artifact.
     pub expected: String,
     /// What the replay actually produced.
@@ -303,17 +300,16 @@ pub struct ReproOutcome {
 }
 
 /// Replays a reproducer artifact (on the simulator — artifacts are only
-/// written for deterministic failures) and checks it still fails the
-/// same way.
+/// written for deterministic failures) through the campaign's own
+/// [`run_sim`] and checks it still fails the same way.
 pub fn reproduce(path: &Path) -> Result<ReproOutcome, String> {
     let art = read_artifact(path)?;
-    let out = run_plan(&art.plan);
+    let out = run_sim(&art.run, false);
     let reproduced = out
         .violation
         .as_ref()
         .is_some_and(|v| artifact::violation_token(v) == art.violation);
     Ok(ReproOutcome {
-        plan: art.plan,
         expected: art.violation,
         violation: out.violation,
         reproduced,

@@ -1,13 +1,15 @@
 //! Fuzz plans: everything that determines one randomized run, derived
 //! deterministically from a single seed.
 //!
-//! A plan is the unit of reproduction: the runner consumes *only* the
-//! plan (never ambient randomness), so re-running an identical plan —
-//! today, or replayed from a `fuzz-artifacts/` file — produces a
-//! bit-identical simulation. All fields are integers or flags so a plan
-//! round-trips exactly through the text artifact format; probabilities
-//! are stored in parts-per-million.
+//! A plan is the unit of shrinking: its fields are the knobs the
+//! shrinker turns. [`FuzzPlan::run`] resolves it into the exact
+//! [`FuzzRun`] the runner consumes (never ambient randomness), which is
+//! also what a `fuzz-artifacts/` reproducer stores — so a replay runs
+//! the same machine even if [`FuzzPlan::machine`]'s defaults change.
+//! All fields are integers or flags; probabilities are stored in
+//! parts-per-million.
 
+use coherence::{ComponentSpec, MachineConfig};
 use harness::QueueKind;
 use simrng::SimRng;
 
@@ -16,7 +18,8 @@ use simrng::SimRng;
 /// the tree, in [`QueueKind::ALL`]'s rotation order.
 pub const FUZZ_QUEUES: [QueueKind; 7] = QueueKind::ALL;
 
-/// One fully determined fuzz run.
+/// One fully determined fuzz run, as the knobs the shrinker turns;
+/// [`FuzzPlan::run`] resolves it into the exact [`FuzzRun`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzPlan {
     /// Master seed: identifies the plan and seeds the per-thread op
@@ -112,29 +115,27 @@ impl FuzzPlan {
         }
     }
 
-    /// The op stream of thread `t` under this plan: `true` = enqueue.
-    /// Derived from `(seed, t)` only, so shrinking `threads` or
-    /// `ops_per_thread` leaves the surviving threads' streams intact.
-    pub fn thread_ops(&self, t: usize) -> Vec<bool> {
-        let mut rng = SimRng::seed_from_u64(
-            self.seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(t as u64 + 1),
-        );
-        (0..self.ops_per_thread)
-            .map(|_| rng.gen_bool(self.enq_permille as f64 / 1000.0))
-            .collect()
+    /// The exact run this plan describes.
+    pub fn run(&self) -> FuzzRun {
+        FuzzRun {
+            queue: self.queue,
+            seed: self.seed,
+            threads: self.threads,
+            ops_per_thread: self.ops_per_thread,
+            enq_permille: self.enq_permille,
+            machine: self.machine(),
+        }
     }
 
     /// Builds the machine configuration this plan runs on.
-    pub fn machine(&self) -> coherence::MachineConfig {
+    pub fn machine(&self) -> MachineConfig {
         let mut m = if self.dual_socket {
-            coherence::MachineConfig::dual_socket(self.threads.div_ceil(2))
+            MachineConfig::dual_socket(self.threads.div_ceil(2))
         } else {
-            coherence::MachineConfig::single_socket(self.threads)
+            MachineConfig::single_socket(self.threads)
         };
         m.delay_jitter_pct = self.jitter_pct;
-        m.spurious_abort_prob = self.spurious_ppm as f64 / 1e6;
+        m.spurious_abort_ppm = self.spurious_ppm;
         m.tx_capacity_lines = self.capacity_lines as usize;
         m.sched_perturb = self.sched_perturb;
         m.microarch_fix = self.microarch_fix;
@@ -143,7 +144,7 @@ impl FuzzPlan {
         // the fuzzer's oracle; skip them for campaign throughput.
         m.check_invariants = false;
         if self.preempt_period > 0 {
-            m.components.push(coherence::ComponentSpec::Interrupt {
+            m.components.push(ComponentSpec::Interrupt {
                 period: self.preempt_period,
                 start: (self.preempt_period / 2).max(1),
                 cost: self.preempt_cost,
@@ -153,7 +154,7 @@ impl FuzzPlan {
         if self.timer_period > 0 {
             // Exactly one release per paced main-loop op of thread 0
             // (see `pace` in the runner); the drain phase is unpaced.
-            m.components.push(coherence::ComponentSpec::TickGate {
+            m.components.push(ComponentSpec::TickGate {
                 core: 0,
                 period: self.timer_period,
                 start: self.timer_period,
@@ -161,6 +162,42 @@ impl FuzzPlan {
             });
         }
         m
+    }
+}
+
+/// One exact simulator run: the workload half of a [`FuzzPlan`] plus the
+/// machine it runs on, in full. A reproducer artifact stores this, so
+/// replay needs neither the plan's knobs nor any default.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FuzzRun {
+    /// Queue implementation under test.
+    pub queue: QueueKind,
+    /// The plan's master seed, which seeds the op streams.
+    pub seed: u64,
+    /// Worker threads, on cores `0..threads`.
+    pub threads: usize,
+    /// Operations per thread.
+    pub ops_per_thread: u64,
+    /// Enqueue probability of each op, in permille.
+    pub enq_permille: u64,
+    /// The machine. A `TickGate` on a worker's core paces that worker
+    /// to one op per release.
+    pub machine: MachineConfig,
+}
+
+impl FuzzRun {
+    /// The op stream of thread `t`: `true` = enqueue. Derived from
+    /// `(seed, t)` only, so shrinking `threads` or `ops_per_thread`
+    /// leaves the surviving threads' streams intact.
+    pub fn thread_ops(&self, t: usize) -> Vec<bool> {
+        let mut rng = SimRng::seed_from_u64(
+            self.seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(t as u64 + 1),
+        );
+        (0..self.ops_per_thread)
+            .map(|_| rng.gen_bool(self.enq_permille as f64 / 1000.0))
+            .collect()
     }
 }
 
@@ -189,7 +226,8 @@ mod tests {
         let plan = FuzzPlan::derive(7, None);
         let mut smaller = plan.clone();
         smaller.threads = 2;
-        assert_eq!(plan.thread_ops(0), smaller.thread_ops(0));
-        assert_eq!(plan.thread_ops(1), smaller.thread_ops(1));
+        let (run, small) = (plan.run(), smaller.run());
+        assert_eq!(run.thread_ops(0), small.thread_ops(0));
+        assert_eq!(run.thread_ops(1), small.thread_ops(1));
     }
 }

@@ -1,12 +1,13 @@
-//! The fuzz runner: executes one [`FuzzPlan`] through the backend-generic
+//! The fuzz runner: executes one [`FuzzRun`] through the backend-generic
 //! [`harness::record_history`] driver and checks the merged history with
 //! the full (pattern + search) linearizability checker.
 //!
-//! Reproducibility contract (simulator backend): the runner consumes
-//! *only* the plan. Thread op streams come from the plan's seed, machine
-//! noise from the plan's machine seed, and the merged history is
-//! canonically sorted — so two runs of equal plans produce identical
-//! outcomes down to the fingerprint, on either scheduler.
+//! Reproducibility contract (simulator backend): [`run_sim`] consumes
+//! *only* the run. Thread op streams come from its seed, machine noise
+//! from its machine's seed, and the merged history is canonically
+//! sorted — so two equal runs produce identical outcomes down to the
+//! fingerprint, on either link. Campaigns, the shrinker and artifact
+//! replay all go through it.
 //!
 //! The native backend runs the *same plan* on real OS threads and real
 //! atomics. Native interleavings are not reproducible, so native
@@ -15,15 +16,14 @@
 //! history plus, for drained runs, the dequeued-value multiset, which is
 //! fully determined by the plan on any correct queue.
 
-use crate::plan::FuzzPlan;
-use coherence::RunReport;
+use crate::plan::{FuzzPlan, FuzzRun};
+use coherence::{ComponentSpec, RunReport};
 use harness::{
     dequeue_multiset, history_digest, record_history, DriveSpec, NativeBackend, QueueParams,
     SimBackend,
 };
 use linearize::{check_queue_linearizable, Event, Violation};
 use obs::{ObsSink, TraceMeta};
-use sbq::txcas::TxCasParams;
 use std::sync::Arc;
 
 /// Result of one fuzz run.
@@ -41,38 +41,19 @@ pub struct RunOutcome {
     pub end_time: u64,
 }
 
-/// Queue parameters used for fuzzing: sized to the plan's thread count,
-/// with TxCAS delays shortened (correctness is timing-independent; short
-/// delays buy more schedules per simulated cycle) and few enough retries
-/// that injected-abort storms reach the fallback path quickly.
-fn queue_params(plan: &FuzzPlan) -> QueueParams {
-    QueueParams {
-        max_threads: plan.threads,
-        enqueuers: plan.threads,
-        basket_capacity: plan.threads.max(44),
-        txcas: TxCasParams {
-            intra_delay: 200,
-            post_abort_delay: 40,
-            max_retries: 12,
-        },
-        delay_cycles: 200,
-        reclaim: true,
-    }
-}
-
-fn spec(plan: &FuzzPlan, drain: bool) -> DriveSpec {
+fn spec(run: &FuzzRun, drain: bool) -> DriveSpec {
     let mut spec = DriveSpec::new(
-        queue_params(plan),
-        (0..plan.threads).map(|t| plan.thread_ops(t)).collect(),
+        QueueParams::for_checking(run.threads),
+        (0..run.threads).map(|t| run.thread_ops(t)).collect(),
         drain,
     );
-    if plan.timer_period > 0 {
-        // Thread 0 is timer-paced: one op per `TickGate` release (the
-        // plan's machine() schedules exactly `ops_per_thread` of them).
-        // On native — no tick source — `wait_tick` returns immediately.
-        let mut pace = vec![0u64; plan.threads];
-        pace[0] = 1;
-        spec.pace = pace;
+    // A gated core is timer-paced: one op per `TickGate` release. On
+    // native — no tick source — `wait_tick` returns immediately.
+    for c in &run.machine.components {
+        if let ComponentSpec::TickGate { core, .. } = *c {
+            spec.pace.resize(spec.pace.len().max(core + 1), 0);
+            spec.pace[core] = 1;
+        }
     }
     spec
 }
@@ -98,17 +79,17 @@ fn sim_fingerprint(report: &RunReport, history: &[Event]) -> String {
 }
 
 /// Runs one plan on the simulator with the historical (no-drain) shape:
-/// this is the deterministic path the campaign, shrinker, and artifact
-/// replay are built on.
+/// [`run_sim`] of [`FuzzPlan::run`], the path campaigns and the shrinker
+/// take.
 pub fn run_plan(plan: &FuzzPlan) -> RunOutcome {
-    run_plan_sim(plan, false)
+    run_sim(&plan.run(), false)
 }
 
-/// Runs one plan on the simulator, optionally draining the queue after an
+/// Runs `run` on the simulator, optionally draining the queue after an
 /// end-of-ops barrier (drained histories conserve elements exactly).
-pub fn run_plan_sim(plan: &FuzzPlan, drain: bool) -> RunOutcome {
-    let mut backend = SimBackend::new(plan.machine());
-    let out = record_history(&mut backend, plan.queue, spec(plan, drain));
+pub fn run_sim(run: &FuzzRun, drain: bool) -> RunOutcome {
+    let mut backend = SimBackend::new(run.machine.clone());
+    let out = record_history(&mut backend, run.queue, spec(run, drain));
     let report = out.report.sim.expect("sim backend always carries a report");
     let violation = check_queue_linearizable(&out.history).err();
     let fingerprint = sim_fingerprint(&report, &out.history);
@@ -128,11 +109,11 @@ pub fn run_plan_sim(plan: &FuzzPlan, drain: bool) -> RunOutcome {
 /// the traced schedule is exactly the one the violation was found on
 /// (recording cannot perturb simulated timing).
 pub fn trace_plan(plan: &FuzzPlan) -> String {
-    let mut cfg = plan.machine();
-    cfg.trace = true;
-    let mut backend = SimBackend::new(cfg);
+    let mut run = plan.run();
+    run.machine.trace = true;
+    let mut backend = SimBackend::new(run.machine.clone());
     let sink = Arc::new(ObsSink::default());
-    let mut s = spec(plan, false);
+    let mut s = spec(&run, false);
     s.obs = Some(Arc::clone(&sink));
     let out = record_history(&mut backend, plan.queue, s);
     let report = out.report.sim.expect("sim backend always carries a report");
@@ -150,13 +131,13 @@ pub fn trace_plan(plan: &FuzzPlan) -> String {
     obs::export(&sink.take_logs(), &report.trace, &meta)
 }
 
-/// Runs one plan on native atomics (real OS threads). The plan's
-/// machine-level fault knobs (spurious aborts, capacity, jitter,
-/// scheduler perturbation) have no native equivalent and are ignored;
-/// the op streams, queue kind, and thread count are honored exactly.
-pub fn run_plan_native(plan: &FuzzPlan, drain: bool) -> RunOutcome {
+/// Runs `run` on native atomics (real OS threads). The machine's fault
+/// knobs (spurious aborts, capacity, jitter, scheduler perturbation)
+/// have no native equivalent and are ignored; the op streams, queue
+/// kind, and thread count are honored exactly.
+pub fn run_native(run: &FuzzRun, drain: bool) -> RunOutcome {
     let mut backend = NativeBackend::default();
-    let out = record_history(&mut backend, plan.queue, spec(plan, drain));
+    let out = record_history(&mut backend, run.queue, spec(run, drain));
     let violation = check_queue_linearizable(&out.history).err();
     let fingerprint = format!(
         "backend=native end={} hist={}#{:016x}",
@@ -187,8 +168,9 @@ pub struct CrosscheckOutcome {
 /// Runs `plan` on the simulator *and* on native atomics (both drained)
 /// and compares the dequeued-value multisets.
 pub fn crosscheck_plan(plan: &FuzzPlan) -> CrosscheckOutcome {
-    let sim = run_plan_sim(plan, true);
-    let native = run_plan_native(plan, true);
+    let run = plan.run();
+    let sim = run_sim(&run, true);
+    let native = run_native(&run, true);
     let multisets_agree = dequeue_multiset(&sim.history) == dequeue_multiset(&native.history);
     CrosscheckOutcome {
         sim,
@@ -257,7 +239,7 @@ mod tests {
                 plan.preempt_period = 1_200;
                 plan.preempt_cost = 200;
                 plan.ops_per_thread = plan.ops_per_thread.max(12);
-                let out = run_plan_sim(&plan, true);
+                let out = run_sim(&plan.run(), true);
                 assert_eq!(
                     out.violation,
                     None,
@@ -286,20 +268,21 @@ mod tests {
     fn timer_paced_plans_are_clean_and_paced() {
         let mut plan = FuzzPlan::derive(2, Some(QueueKind::SbqHtm));
         plan.timer_period = 3_000;
-        let out = run_plan_sim(&plan, true);
+        let out = run_sim(&plan.run(), true);
         assert_eq!(out.violation, None);
         let report = run_report(&plan);
         assert_eq!(report.stats.op("waittick"), plan.ops_per_thread);
         assert!(out.end_time >= plan.ops_per_thread * plan.timer_period);
         // Determinism with components attached.
-        assert_eq!(out.fingerprint, run_plan_sim(&plan, true).fingerprint);
+        assert_eq!(out.fingerprint, run_sim(&plan.run(), true).fingerprint);
     }
 
     /// The sim report for one drained plan run (helper for component
     /// assertions that need raw counters, not the fingerprint).
     fn run_report(plan: &FuzzPlan) -> RunReport {
-        let mut backend = SimBackend::new(plan.machine());
-        let out = record_history(&mut backend, plan.queue, spec(plan, true));
+        let run = plan.run();
+        let mut backend = SimBackend::new(run.machine.clone());
+        let out = record_history(&mut backend, run.queue, spec(&run, true));
         out.report.sim.expect("sim backend always carries a report")
     }
 }

@@ -90,62 +90,37 @@ pub fn shrink_plan(plan: &FuzzPlan, budget: usize) -> Option<ShrinkOutcome> {
     })
 }
 
+/// A mutation, and whether it applies to the plan at hand.
+type Step = (bool, fn(&mut FuzzPlan));
+
 /// Single-step mutations of `p`, most aggressive first.
 fn candidates(p: &FuzzPlan) -> Vec<FuzzPlan> {
-    let mut out = Vec::new();
-    if p.ops_per_thread > 1 {
-        let mut c = p.clone();
-        c.ops_per_thread = (p.ops_per_thread / 2).max(1);
-        out.push(c);
-        if p.ops_per_thread > 2 {
+    let steps: [Step; 10] = [
+        (p.ops_per_thread > 1, |c| {
+            c.ops_per_thread = (c.ops_per_thread / 2).max(1)
+        }),
+        (p.ops_per_thread > 2, |c| c.ops_per_thread -= 1),
+        (p.threads > 2, |c| c.threads -= 1),
+        (p.spurious_ppm != 0, |c| c.spurious_ppm = 0),
+        (p.capacity_lines != 0, |c| c.capacity_lines = 0),
+        (p.jitter_pct != 0, |c| c.jitter_pct = 0),
+        (p.sched_perturb != 0, |c| c.sched_perturb = 0),
+        (p.dual_socket, |c| c.dual_socket = false),
+        // Component actors are fault knobs too: a bug that survives
+        // without the preemption source or the timer pacing should
+        // record neither.
+        (p.preempt_period != 0, |c| c.preempt_period = 0),
+        (p.timer_period != 0, |c| c.timer_period = 0),
+    ];
+    steps
+        .into_iter()
+        .filter(|&(applies, _)| applies)
+        .map(|(_, mutate)| {
             let mut c = p.clone();
-            c.ops_per_thread -= 1;
-            out.push(c);
-        }
-    }
-    if p.threads > 2 {
-        let mut c = p.clone();
-        c.threads -= 1;
-        out.push(c);
-    }
-    if p.spurious_ppm != 0 {
-        let mut c = p.clone();
-        c.spurious_ppm = 0;
-        out.push(c);
-    }
-    if p.capacity_lines != 0 {
-        let mut c = p.clone();
-        c.capacity_lines = 0;
-        out.push(c);
-    }
-    if p.jitter_pct != 0 {
-        let mut c = p.clone();
-        c.jitter_pct = 0;
-        out.push(c);
-    }
-    if p.sched_perturb != 0 {
-        let mut c = p.clone();
-        c.sched_perturb = 0;
-        out.push(c);
-    }
-    if p.dual_socket {
-        let mut c = p.clone();
-        c.dual_socket = false;
-        out.push(c);
-    }
-    // Component actors are fault knobs too: a bug that survives without
-    // the preemption source or the timer pacing should record neither.
-    if p.preempt_period != 0 {
-        let mut c = p.clone();
-        c.preempt_period = 0;
-        out.push(c);
-    }
-    if p.timer_period != 0 {
-        let mut c = p.clone();
-        c.timer_period = 0;
-        out.push(c);
-    }
-    out
+            mutate(&mut c);
+            c
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 
 use linearize::Violation;
 use simfuzz::{
-    read_artifact, reproduce, run_campaign, run_plan, write_artifact, CampaignConfig, FuzzPlan,
-    FUZZ_QUEUES,
+    read_artifact, reproduce, run_campaign, run_plan, run_sim, write_artifact, CampaignConfig,
+    FuzzPlan, FUZZ_QUEUES,
 };
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -88,18 +88,20 @@ fn campaigns_are_deterministic() {
 fn artifact_roundtrips_through_filesystem_and_replays() {
     // A clean plan still replays: `reproduce` must report the replay did
     // NOT match the recorded violation (there is none to match), while
-    // the replay fingerprint stays stable across calls.
+    // the replay is the campaign's own run of the same plan.
     let dir = temp_dir("roundtrip");
     let plan = FuzzPlan::derive(5, None);
     let v = Violation::Repeat { value: 42 };
-    let path = write_artifact(&dir, &plan, &v, &[]).expect("write");
+    let path = write_artifact(&dir, &plan.run(), &v, &[]).expect("write");
     let art = read_artifact(&path).expect("read");
-    assert_eq!(art.plan, plan);
+    assert_eq!(art.run, plan.run());
     assert_eq!(art.violation, "repeat");
 
     let r1 = reproduce(&path).expect("replay");
     let r2 = reproduce(&path).expect("replay");
     assert!(!r1.reproduced, "clean plan cannot reproduce a violation");
     assert_eq!(r1.fingerprint, r2.fingerprint);
+    assert_eq!(r1.fingerprint, run_plan(&plan).fingerprint);
+    assert_eq!(r1.fingerprint, run_sim(&art.run, false).fingerprint);
     std::fs::remove_dir_all(&dir).ok();
 }

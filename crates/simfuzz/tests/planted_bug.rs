@@ -76,8 +76,16 @@ fn campaign_finds_shrinks_and_replays_the_planted_bug() {
     // The minimized witness actually exhibits the duplicate.
     assert!(shrunk.witness.len() >= 2);
 
-    // The artifact replays to the same violation kind, bit-identically.
+    // The artifact stores the shrunk plan's exact machine and replays
+    // its run bit-identically, to the same violation kind.
     let path = f.artifact.as_ref().expect("artifact written");
+    let text = std::fs::read_to_string(path).expect("artifact readable");
+    let machine: String = text
+        .lines()
+        .filter(|l| !l.starts_with('#') && l.contains('='))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(machine, shrunk.plan.machine().to_text());
     let r1 = reproduce(path).expect("replay");
     let r2 = reproduce(path).expect("replay");
     assert!(
@@ -86,6 +94,7 @@ fn campaign_finds_shrinks_and_replays_the_planted_bug() {
         r1.violation
     );
     assert_eq!(r1.fingerprint, r2.fingerprint);
+    assert_eq!(r1.fingerprint, rerun.fingerprint);
 
     // A Chrome trace of the violating run sits next to the reproducer,
     // parses against the trace schema, and actually shows the violating

@@ -7,9 +7,9 @@
 //! followed by `key=value` pairs. A pair that is not `key=value`, a
 //! repeated key, a key the subcommand does not take, a value that does
 //! not parse, or a count too small to run (zero threads; a zero
-//! `basket`, `rates` entry or scenario `workers`/`ops`/`period`; a
-//! `mixed` run on fewer than two threads) prints the usage text and
-//! exits 2.
+//! `basket`, `sockets`, `rates` entry, figure `threads`/`grid` entry or
+//! scenario `workers`/`ops`/`period`; a `mixed` run on fewer than two
+//! threads) prints the usage text and exits 2.
 //!
 //! ```text
 //! simctl <queue> <workload> <threads> [key=value ...]
@@ -18,29 +18,29 @@
 //! workloads: producer | consumer | mixed
 //! keys:      ops (per thread)        default 200
 //!            backend (sim|native)    default sim
-//!            hop (intra-socket, cy)  default 25
-//!            hop-cross (cycles)      default 110
 //!            delay (TxCAS intra, cy) default 600
 //!            basket (capacity)       default max(44, threads)
-//!            fix (0/1 microarch fix) default 0
-//!            seed                    default 0x5b90
 //!            sockets (topology)      default from workload (1 or 2)
-//!            policy (fixed|interleave|first-touch)  directory homes
+//!            any machine key         default from workload
 //! ```
 //!
-//! Example: `simctl sbq-htm producer 44 ops=300 delay=900`
+//! The machine keys are [`coherence::MachineConfig`]'s fields by their
+//! text-form names ([`coherence::MachineConfig::keys`], listed by
+//! `simctl help`), e.g. `hop-intra=40`, `microarch-fix=1`,
+//! `home-policy=first-touch` or `fast-path=0`; only `cores`,
+//! `cores-per-socket` and `trace`, which simctl sets itself, are
+//! rejected. Example: `simctl sbq-htm producer 44 ops=300 delay=900`
 //!
 //! `sockets=` reshapes the machine onto that many sockets (cores spread
-//! evenly) and, unless `policy=` pins one, hash-interleaves the
+//! evenly) and, unless `home-policy=` pins one, hash-interleaves the
 //! directory homes across them; the output's `hops_intra`/`hops_cross`/
 //! `dir_cross` columns say where the interconnect traffic went.
 //! `simctl sbq-htm producer 176 sockets=4` is a paper-scale quad-socket
 //! point.
 //!
-//! With `backend=native` the workload runs on real OS threads and
-//! hardware atomics instead of the simulator; the machine keys (`hop`,
-//! `hop-cross`, `fix`, `seed`) then have no effect and the HTM counters
-//! read zero.
+//! `backend=native` runs the workload on real OS threads and hardware
+//! atomics, where the HTM counters read zero; it has no machine, so a
+//! machine key or `sockets=` is an error.
 //!
 //! `simctl fig <name|all> [key=value ...]` regenerates one figure of the
 //! paper's evaluation as TSV, or every figure in order with `all` (see
@@ -172,6 +172,7 @@ use bench::fig::Figure;
 use bench::workload::{
     paper_workload, run_workload, run_workload_native, trace_workload, Workload, WorkloadKind,
 };
+use coherence::{HomePolicy, MachineConfig};
 use harness::{run_scenario, ActorFamily, BackendKind, QueueKind, ScenarioSpec};
 use loadgen::{ArrivalPattern, LoadPlan, SweepSpec};
 use std::collections::BTreeMap;
@@ -183,7 +184,7 @@ usage:
   simctl <queue> <workload> <threads> [key=value ...]
       one closed-loop workload point (queues: sbq-htm sbq-cas sbq-striped
       bq wf cc ms; workloads: producer consumer mixed; keys: ops backend
-      hop hop-cross delay basket fix seed sockets policy)
+      delay basket sockets, and the machine keys below)
   simctl fig <name|all> [ops= threads= grid= jobs= out=]
       regenerate a figure as TSV (fig1 fig2 fig3 fig5 fig6 fig7 speedups
       ablate-delay ablate-fix ablate-basket ablate-deq numa, or all);
@@ -206,16 +207,35 @@ usage:
   simctl help | --help | -h
       this text
 
+machine keys (MachineConfig's fields, for simulated runs and traces; flags
+are 0/1, home-policy is fixed|interleave|first-touch):
+  {machine-keys}
+
 Arguments are positional first, then key=value pairs; a malformed,
 repeated or unknown key, or a count too small to run (zero threads,
 one `mixed` thread), exits 2. See the module docs in
 src/bin/simctl.rs for every key's meaning.";
 
+/// Machine keys the single-run grammar rejects: the thread count and
+/// `sockets=` size the machine, and `simctl trace` always records the
+/// message trace that a plain run never reads.
+fn set_by_simctl(key: &str) -> bool {
+    matches!(key, "cores" | "cores-per-socket" | "trace")
+}
+
 /// An argument error: `main` prints it with the usage text and exits 2.
 type Res<T> = Result<T, String>;
 
+/// The help text, listing the machine keys from the field table.
+fn help() -> String {
+    let mut keys: Vec<_> = MachineConfig::keys().collect();
+    keys.retain(|k| !set_by_simctl(k));
+    let rows: Vec<_> = keys.chunks(5).map(|row| row.join(" ")).collect();
+    HELP.replace("{machine-keys}", &rows.join("\n  "))
+}
+
 fn usage() -> ! {
-    eprintln!("{HELP}");
+    eprintln!("{}", help());
     std::process::exit(2);
 }
 
@@ -252,16 +272,9 @@ impl Keys {
         self.get(key, |v| v.parse().ok())
     }
 
-    /// A comma-separated list of numbers.
-    fn list<T: FromStr>(&mut self, key: &str) -> Res<Option<Vec<T>>> {
-        self.get(key, |v| {
-            v.split(',').map(|x| x.trim().parse().ok()).collect()
-        })
-    }
-
-    /// A 0/1 switch (any nonzero number is on).
-    fn flag(&mut self, key: &str) -> Res<Option<bool>> {
-        self.get(key, |v| v.parse::<u64>().ok().map(|n| n != 0))
+    /// A comma-separated list of positive numbers.
+    fn list<T: FromStr + PartialOrd + Default>(&mut self, key: &str) -> Res<Option<Vec<T>>> {
+        self.get(key, |v| v.split(',').map(positive).collect())
     }
 
     fn finish(self) -> Res<()> {
@@ -270,6 +283,11 @@ impl Keys {
             None => Ok(()),
         }
     }
+}
+
+/// Parses a number greater than zero.
+fn positive<T: FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
+    v.trim().parse().ok().filter(|n| *n > T::default())
 }
 
 /// Splits the `n` positional arguments named by `what` off the front of
@@ -321,50 +339,45 @@ fn parse_run_spec(args: &[String]) -> Res<(RunSpec, Keys)> {
     // fewer than two, a lone consumer would spin on an empty queue.
     let min_threads = if kind == WorkloadKind::Mixed { 2 } else { 1 };
     if threads < min_threads {
-        return Err(format!(
-            "workload `{}` needs at least {min_threads} thread(s)",
-            pos[1]
-        ));
+        return Err(format!("`{}` needs {min_threads}+ threads", pos[1]));
     }
 
     let mut w = paper_workload(kind, threads, keys.num("ops")?.unwrap_or(200));
     let backend = keys
         .get("backend", BackendKind::parse)?
         .unwrap_or(BackendKind::Sim);
-    w.machine.hop_intra = keys.num("hop")?.unwrap_or(w.machine.hop_intra);
-    w.machine.hop_cross = keys.num("hop-cross")?.unwrap_or(w.machine.hop_cross);
     if let Some(delay) = keys.num("delay")? {
         w.qp.txcas.intra_delay = delay;
         w.qp.delay_cycles = delay;
     }
-    if let Some(basket) = keys.num("basket")? {
-        if basket == 0 {
-            return Err("basket must be positive".into());
-        }
+    if let Some(basket) = keys.get("basket", positive)? {
         w.qp.basket_capacity = basket;
         w.qp.enqueuers = w.qp.enqueuers.min(basket);
     }
-    w.machine.microarch_fix = keys.flag("fix")?.unwrap_or(w.machine.microarch_fix);
-    w.machine.seed = keys.num("seed")?.unwrap_or(w.machine.seed);
-    let mut policy = keys.get("policy", |v| match v {
-        "fixed" => Some(coherence::HomePolicy::Fixed),
-        "interleave" => Some(coherence::HomePolicy::Interleave),
-        "first-touch" | "firsttouch" => Some(coherence::HomePolicy::FirstTouch),
-        _ => None,
-    })?;
-    // Topology overrides last: spread the machine's cores evenly over
-    // the requested socket count and, unless a policy was pinned,
-    // distribute directory homes across them.
-    if let Some(sockets) = keys.num::<usize>("sockets")? {
-        let sockets = sockets.max(1);
-        w.machine.cores_per_socket = w.machine.cores.div_ceil(sockets).max(1);
-        if sockets > 1 && policy.is_none() {
-            policy = Some(coherence::HomePolicy::Interleave);
+    // Every machine field by its text-form name, then the derived
+    // topology: spread the cores evenly over `sockets` and, unless a
+    // home policy was pinned, distribute directory homes across them.
+    let mut machine_keys = Vec::new();
+    for key in MachineConfig::keys() {
+        if let Some(v) = keys.str(&key) {
+            if set_by_simctl(&key) {
+                return Err(format!("`{key}` is set by simctl itself"));
+            }
+            w.machine.set(&key, &v)?;
+            machine_keys.push(key);
         }
     }
-    if let Some(p) = policy {
-        w.machine.home_policy = p;
+    if let Some(sockets) = keys.get("sockets", positive::<usize>)? {
+        w.machine.cores_per_socket = w.machine.cores.div_ceil(sockets);
+        if sockets > 1 && !machine_keys.iter().any(|k| k == "home-policy") {
+            w.machine.home_policy = HomePolicy::Interleave;
+        }
+        machine_keys.push("sockets".into());
     }
+    if let (BackendKind::Native, Some(key)) = (backend, machine_keys.first()) {
+        return Err(format!("backend=native has no machine to set `{key}` on"));
+    }
+    w.machine.validate()?;
     let spec = RunSpec {
         queue,
         kind,
@@ -427,15 +440,9 @@ fn fuzz_main(args: &[String]) -> Res<()> {
     keys.finish()?;
 
     if let Some(path) = repro {
-        let r = simfuzz::reproduce(std::path::Path::new(&path)).unwrap_or_else(|e| {
-            eprintln!("simctl fuzz repro={path}: {e}");
-            std::process::exit(2);
-        });
-        match &r.violation {
-            Some(v) => println!("replay: {v}"),
-            None => println!("replay: linearizable"),
-        }
-        println!("fingerprint: {}", r.fingerprint);
+        let r = simfuzz::reproduce(path.as_ref()).map_err(|e| format!("repro={path}: {e}"))?;
+        let replay = r.violation.map_or("linearizable".into(), |v| v.to_string());
+        println!("replay: {replay}\nfingerprint: {}", r.fingerprint);
         if r.reproduced {
             println!("reproduced recorded violation kind `{}`", r.expected);
         } else {
@@ -650,9 +657,6 @@ fn load_main(args: &[String]) -> Res<()> {
         .get("backend", BackendKind::parse)?
         .unwrap_or(BackendKind::Sim);
     let rates: Option<Vec<u64>> = keys.list("rates")?;
-    if rates.as_ref().is_some_and(|r| r.contains(&0)) {
-        return Err("every rate in `rates` must be positive".into());
-    }
     let slo_p99_ns = keys.num("slo-p99")?.unwrap_or(0.0);
     let depth_slo = keys.num("depth-slo")?.unwrap_or(0);
     let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(1));
@@ -755,8 +759,8 @@ fn load_check_main(args: &[String]) -> Res<()> {
     if rates.windows(2).any(|w| w[0] >= w[1]) {
         fail("offered_rps not strictly ascending".into());
     }
-    match doc.get("knee") {
-        Some(obs::json::Value::Null) => {}
+    let knee = match doc.get("knee") {
+        Some(obs::json::Value::Null) => "none".to_string(),
         Some(k) => {
             let rate = k
                 .get("offered_rps")
@@ -766,26 +770,14 @@ fn load_check_main(args: &[String]) -> Res<()> {
                 fail(format!("knee rate {rate} is not a probed point"));
             }
             match k.get("reason").and_then(obs::json::Value::as_str) {
-                Some("slo-exceeded") | Some("depth-diverged") => {}
+                Some("slo-exceeded") | Some("depth-diverged") => format!("at {rate} rps"),
                 other => fail(format!("knee: bad reason {other:?}")),
             }
         }
         None => fail("missing \"knee\" (must be an object or null)".into()),
-    }
-    println!(
-        "{path}: ok — {} point(s), ordered percentiles, fully drained, knee {}",
-        points.len(),
-        match doc.get("knee") {
-            Some(obs::json::Value::Null) => "none".to_string(),
-            Some(k) => format!(
-                "at {} rps",
-                k.get("offered_rps")
-                    .and_then(obs::json::Value::as_num)
-                    .unwrap_or(0.0)
-            ),
-            None => unreachable!(),
-        }
-    );
+    };
+    let n = points.len();
+    println!("{path}: ok — {n} point(s), ordered percentiles, fully drained, knee {knee}");
     Ok(())
 }
 
@@ -854,7 +846,7 @@ fn main() {
         Some("load-check") => load_check_main(rest),
         Some("scenario") => scenario_main(rest),
         Some("help") | Some("--help") | Some("-h") => {
-            println!("{HELP}");
+            println!("{}", help());
             Ok(())
         }
         _ => run_main(&args),
@@ -868,6 +860,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::Keys;
+    use harness::BackendKind;
 
     fn keys(args: &[&str]) -> Result<Keys, String> {
         Keys::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -875,10 +868,11 @@ mod tests {
 
     #[test]
     fn typed_getters_take_their_keys() {
-        let mut k = keys(&["ops=30", "threads=1, 2,4", "fix=1", "out=x.tsv"]).unwrap();
+        let mut k = keys(&["ops=30", "threads=1, 2,4", "backend=native", "out=x.tsv"]).unwrap();
         assert_eq!(k.num::<u64>("ops"), Ok(Some(30)));
         assert_eq!(k.list::<usize>("threads"), Ok(Some(vec![1, 2, 4])));
-        assert_eq!(k.flag("fix"), Ok(Some(true)));
+        let backend = k.get("backend", BackendKind::parse);
+        assert_eq!(backend, Ok(Some(BackendKind::Native)));
         assert_eq!(k.num::<u64>("jobs"), Ok(None));
         assert_eq!(k.str("out").as_deref(), Some("x.tsv"));
         assert_eq!(k.finish(), Ok(()));

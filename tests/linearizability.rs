@@ -90,7 +90,7 @@ fn sbq_htm_stays_linearizable_under_spurious_aborts() {
     // simulated HTM; the queue must stay linearizable and conserving.
     let mut cfg = MachineConfig::single_socket(THREADS);
     cfg.check_invariants = false;
-    cfg.spurious_abort_prob = 0.3;
+    cfg.spurious_abort_ppm = 300_000;
     let out = record_history(&mut SimBackend::new(cfg), QueueKind::SbqHtm, spec());
     assert_clean("SBQ-HTM", "sim+spurious", &out);
     // With a 30% abort rate some transactions must actually have aborted,

@@ -1,7 +1,7 @@
 //! The `simctl` command-line surface, driven through the built binary:
-//! the help text names every subcommand, and retired subcommands and
-//! malformed arguments, including zero or too-small counts, exit 2 with
-//! the usage text.
+//! the help text names every subcommand and machine key, and retired
+//! subcommands and keys and malformed arguments, including zero or
+//! too-small counts, exit 2 with the usage text.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -83,6 +83,19 @@ fn malformed_and_unknown_keys_are_usage_errors() {
     // A key that exists, but not for this figure.
     assert_usage_error(&["fig", "fig1", "grid=2x88"]);
     assert_usage_error(&["no-such-queue", "producer", "2"]);
+    // Retired spellings of hop-intra, microarch-fix and home-policy, the
+    // machine keys simctl sets itself, and a component the machine lacks
+    // a core for.
+    for key in "hop=30 fix=1 policy=interleave cores=2 cores-per-socket=2".split(' ') {
+        assert_usage_error(&["ms", "producer", "2", key]);
+    }
+    assert_usage_error(&["trace", "ms", "producer", "2", "trace=0"]);
+    assert_usage_error(&["ms", "producer", "2", "components=tick-gate:5:100:0:0"]);
+    // The native backend has no machine; its machine keys used to be
+    // ignored.
+    assert_usage_error(&["ms", "producer", "2", "backend=native", "hop=999", "fix=1"]);
+    assert_usage_error(&["ms", "producer", "2", "backend=native", "hop-intra=9"]);
+    assert_usage_error(&["ms", "producer", "2", "backend=native", "sockets=2"]);
 }
 
 #[test]
@@ -100,4 +113,31 @@ fn malformed_counts_are_usage_errors() {
     assert_usage_error(&["scenario", "preempt", "workers=0"]);
     assert_usage_error(&["scenario", "preempt", "ops=0"]);
     assert_usage_error(&["load", "sbq-htm", "rates=0", "requests=8"]);
+    assert_usage_error(&["load", "sbq-htm", "requests=0"]);
+    // Zero sockets ran on one socket; zero-width figure points printed
+    // NaN rows.
+    assert_usage_error(&["sbq-htm", "producer", "4", "sockets=0"]);
+    assert_usage_error(&["fig", "fig1", "threads=0"]);
+    assert_usage_error(&["fig", "numa", "grid=2x0"]);
+}
+
+/// Every `MachineConfig` field is a key of the single-run grammar, by
+/// its text-form name, except the three simctl sets itself; help lists
+/// exactly those.
+#[test]
+fn machine_keys_follow_the_field_table() {
+    let help = String::from_utf8_lossy(&simctl(&["help"]).stdout).into_owned();
+    let (_, listing) = help
+        .split_once("\nmachine keys")
+        .expect("a machine-key list");
+    let listing = listing.split("\n\n").next().unwrap();
+    let own = ["cores", "cores-per-socket", "trace"];
+    for key in coherence::MachineConfig::keys() {
+        let listed = listing.split_whitespace().any(|w| w == key);
+        assert_eq!(listed, !own.contains(&&*key), "help and `{key}`:\n{help}");
+    }
+    let run = "ms producer 2 ops=4 hop-intra=30 microarch-fix=1 home-policy=first-touch \
+               components=interrupt:900:450:60:rr";
+    let out = simctl(&run.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
