@@ -7,7 +7,7 @@ use harness::{
     dequeue_multiset, enqueue_multiset, mixed_ops, record_history, Backend, DriveSpec, Job,
     NativeBackend, QueueKind, QueueParams, SimBackend,
 };
-use linearize::check_queue_history;
+use linearize::check_queue_linearizable;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
@@ -89,7 +89,7 @@ fn recorded_histories_are_linearizable_on_both_backends() {
     let native_out = record_history(&mut native, QueueKind::MsQueue, spec());
 
     for (name, out) in [("sim", &sim_out), ("native", &native_out)] {
-        check_queue_history(&out.history)
+        check_queue_linearizable(&out.history)
             .unwrap_or_else(|v| panic!("{name} history not linearizable: {v:?}"));
         assert_eq!(
             dequeue_multiset(&out.history),

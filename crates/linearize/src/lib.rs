@@ -1,32 +1,31 @@
-//! # linearize — aspect-oriented queue linearizability checking
+//! # linearize — exact queue linearizability checking
 //!
 //! The paper proves SBQ linearizable with the aspect-oriented framework of
 //! Henzinger, Sezgin & Vafeiadis (CONCUR 2013): a complete concurrent
 //! queue history (with unique enqueued values) is linearizable iff it is
-//! free of four violation patterns (§5.3.2). This crate checks recorded
-//! histories for those patterns, giving the test suite a machine-checkable
-//! version of the paper's correctness argument:
+//! free of four violation patterns (§5.3.2). [`check_queue_linearizable`]
+//! decides every such history exactly, in polynomial time and without
+//! searching linearization orders (Emmi & Enea, POPL 2018, show queues
+//! admit such a check). Operation `o` *precedes* `p` when `o` returns
+//! before `p` is invoked; the patterns are:
 //!
-//! * **VFresh** — a dequeue returns a value never enqueued;
+//! * **VFresh** — a dequeue returns a value that was never enqueued, or
+//!   returns before its value's enqueue is invoked;
 //! * **VRepeat** — two dequeues return the value of the same enqueue;
 //! * **VOrd** — FIFO order inversion: `enqueue(a)` precedes `enqueue(b)`,
-//!   `b` is dequeued, but `a` either is never dequeued or its dequeue is
-//!   invoked only after `b`'s dequeue completes;
-//! * **VWit** — a dequeue returns NULL (empty) although some element was
-//!   enqueued before the dequeue's invocation and remained undequeued
-//!   throughout the dequeue's whole interval.
+//!   `b` is dequeued, but `a` either is never dequeued or `b`'s dequeue
+//!   precedes `a`'s;
+//! * **VWit** — a dequeue returns NULL (empty) although the queue cannot
+//!   be empty at any point of its interval. Let `P(n)` be the values that
+//!   must be fully gone before the empty dequeue `n` linearizes: every
+//!   value with an operation preceding `n`, closed under taking in `y`
+//!   whenever an operation on `y` precedes an operation on a value
+//!   already in `P(n)`. `n` is a violation iff `P(n)` holds a value that
+//!   is never dequeued or has an operation invoked after `n` returns.
 //!
-//! The checks are *sound*: every reported violation is a real
-//! non-linearizability witness. They are conservative for VWit/VOrd in
-//! the presence of overlapping intervals (a racy-but-legal history is
-//! never flagged).
-//!
-//! [`check_queue_linearizable`] layers a Wing & Gong-style explicit
-//! linearization search on top of the pattern pass, making the check
-//! *complete* for FIFO histories (up to a node budget): if no legal
-//! linearization exists, the search reports [`Violation::NoLinearization`]
-//! even when none of the four named patterns matches. On violation,
-//! [`shrink_history`] minimizes the history while preserving the
+//! Pairwise VOrd is exact once empty dequeues are set aside, and the
+//! closure covers an empty dequeue hidden behind a chain of values.
+//! [`shrink_history`] minimizes a failing history while preserving the
 //! violation kind — the fuzzer's counterexample reducer.
 //!
 //! Timestamps are arbitrary `u64`s; the only requirement is that for any
@@ -63,27 +62,29 @@ pub struct Event {
 /// A detected linearizability violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
-    /// Dequeued value was never enqueued.
+    /// Dequeued value was never enqueued, or its dequeue returned before
+    /// its enqueue was invoked.
     Fresh { value: u64 },
     /// Value dequeued more than once.
     Repeat { value: u64 },
     /// FIFO inversion between the enqueues of `first` and `second`.
     Ord { first: u64, second: u64 },
-    /// Empty-dequeue although `witness` was present throughout.
+    /// Empty-dequeue although `witness` had to be in the queue: it is in
+    /// the dequeue's `P(n)` (see the crate docs) yet is never dequeued or
+    /// has an operation invoked after the empty dequeue returned.
     Wit { witness: u64, deq_thread: usize },
     /// Malformed history (duplicate enqueue value, interval with
     /// `ret < invoke`, ...): the *recording* is broken, not the queue.
     Malformed { reason: String },
-    /// The exhaustive linearization search proved that no legal
-    /// sequential FIFO order of the history exists, although none of the
-    /// four named patterns matched on its own.
-    NoLinearization,
 }
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Violation::Fresh { value } => write!(f, "VFresh: value {value} never enqueued"),
+            Violation::Fresh { value } => write!(
+                f,
+                "VFresh: value {value} dequeued without an enqueue invoked before"
+            ),
             Violation::Repeat { value } => write!(f, "VRepeat: value {value} dequeued twice"),
             Violation::Ord { first, second } => write!(
                 f,
@@ -94,12 +95,9 @@ impl std::fmt::Display for Violation {
                 deq_thread,
             } => write!(
                 f,
-                "VWit: thread {deq_thread} saw empty while {witness} was enqueued and undequeued"
+                "VWit: thread {deq_thread} saw empty, but {witness} had to be enqueued before and dequeued after"
             ),
             Violation::Malformed { reason } => write!(f, "malformed history: {reason}"),
-            Violation::NoLinearization => {
-                write!(f, "no legal linearization of the history exists")
-            }
         }
     }
 }
@@ -110,16 +108,48 @@ struct Interval {
     ret: u64,
 }
 
-/// Checks a complete queue history; returns the first violation found.
+/// One enqueued value: its enqueue's interval and, if it was dequeued,
+/// its dequeue's.
+struct Value {
+    value: u64,
+    enq: Interval,
+    deq: Option<Interval>,
+}
+
+impl Value {
+    /// When the value's earliest operation returns.
+    fn first_ret(&self) -> u64 {
+        self.deq.map_or(self.enq.ret, |d| d.ret.min(self.enq.ret))
+    }
+
+    /// When the value's latest operation is invoked; `None` when it is
+    /// never dequeued, since it then stays in the queue past every time.
+    fn last_invoke(&self) -> Option<u64> {
+        self.deq.map(|d| d.invoke.max(self.enq.invoke))
+    }
+}
+
+/// The later of two [`Value::last_invoke`]-style times (`None` = never).
+fn later(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    a.zip(b).map(|(a, b)| a.max(b))
+}
+
+/// Whether `time` (`None` = never) falls after `t`.
+fn after(time: Option<u64>, t: u64) -> bool {
+    time.is_none_or(|time| time > t)
+}
+
+/// Decides whether a complete queue history is linearizable. Returns the
+/// first violation in history order, checking the kinds in turn:
+/// malformed records and repeats in one pass over the events, then
+/// fresh values, FIFO inversions and empty dequeues.
 ///
 /// Requirements on the input: every operation has completed (no pending
 /// calls — complete your histories by joining all threads first), and
 /// enqueued values are unique.
-pub fn check_queue_history(events: &[Event]) -> Result<(), Violation> {
-    let mut enq: HashMap<u64, Interval> = HashMap::new();
-    let mut deq: HashMap<u64, Interval> = HashMap::new();
-    let mut nulls: Vec<(usize, Interval)> = Vec::new();
-
+pub fn check_queue_linearizable(events: &[Event]) -> Result<(), Violation> {
+    let mut enq_of: HashMap<u64, Interval> = HashMap::new();
+    let mut deq_of: HashMap<u64, Interval> = HashMap::new();
     for e in events {
         if e.ret < e.invoke {
             return Err(Violation::Malformed {
@@ -132,266 +162,126 @@ pub fn check_queue_history(events: &[Event]) -> Result<(), Violation> {
         };
         match e.op {
             Op::Enq(v) => {
-                if enq.insert(v, iv).is_some() {
+                if enq_of.insert(v, iv).is_some() {
                     return Err(Violation::Malformed {
                         reason: format!("value {v} enqueued twice"),
                     });
                 }
             }
             Op::DeqSome(v) => {
-                if deq.insert(v, iv).is_some() {
+                if deq_of.insert(v, iv).is_some() {
                     return Err(Violation::Repeat { value: v });
                 }
             }
-            Op::DeqNull => nulls.push((e.thread, iv)),
+            Op::DeqNull => {}
         }
     }
 
-    // VFresh: every dequeued value has a matching enqueue.
-    for v in deq.keys() {
-        if !enq.contains_key(v) {
-            return Err(Violation::Fresh { value: *v });
-        }
-    }
-
-    // VOrd: for a,b with enq(a).ret < enq(b).invoke and b dequeued:
-    // a must be dequeued, and deq(a) must be invoked before deq(b)
-    // returns.
-    // Sort enqueues by return time so each b only scans a-candidates that
-    // finished before it began.
-    let mut enq_by_ret: Vec<(u64, Interval)> = enq.iter().map(|(&v, &iv)| (v, iv)).collect();
-    enq_by_ret.sort_by_key(|(_, iv)| iv.ret);
-    for (&b, biv) in &enq {
-        let Some(db) = deq.get(&b) else { continue };
-        for &(a, aiv) in &enq_by_ret {
-            if aiv.ret >= biv.invoke {
-                break; // sorted: no further candidates strictly precede b
-            }
-            match deq.get(&a) {
-                None => {
-                    return Err(Violation::Ord {
-                        first: a,
-                        second: b,
-                    })
-                }
-                Some(da) => {
-                    if da.invoke > db.ret {
-                        return Err(Violation::Ord {
-                            first: a,
-                            second: b,
-                        });
-                    }
-                }
+    // VFresh: every dequeue is of a value whose enqueue was invoked no
+    // later than the dequeue returned.
+    for e in events {
+        if let Op::DeqSome(v) = e.op {
+            if enq_of.get(&v).is_none_or(|enq| e.ret < enq.invoke) {
+                return Err(Violation::Fresh { value: v });
             }
         }
     }
 
-    // VWit: a null dequeue D is a violation if some value x was enqueued
-    // (completed) before D's invocation and x's dequeue (if any) was
-    // invoked only after D returned — i.e. x was inside the queue for all
-    // of D's interval.
-    for (thread, d) in &nulls {
-        for (&x, xiv) in &enq {
-            if xiv.ret >= d.invoke {
-                continue;
-            }
-            let gone_during_d = match deq.get(&x) {
-                None => false,
-                Some(dx) => dx.invoke <= d.ret,
-            };
-            if !gone_during_d {
-                return Err(Violation::Wit {
-                    witness: x,
-                    deq_thread: *thread,
-                });
-            }
-        }
-    }
+    // Every enqueued value, in history order.
+    let values: Vec<Value> = events
+        .iter()
+        .filter_map(|e| match e.op {
+            Op::Enq(v) => Some(Value {
+                value: v,
+                enq: enq_of[&v],
+                deq: deq_of.get(&v).copied(),
+            }),
+            _ => None,
+        })
+        .collect();
+    check_ord(&values)?;
+    check_wit(events, &values)
+}
 
+/// VOrd: for `a`, `b` with `enq(a)` preceding `enq(b)` and `b` dequeued,
+/// `a` must be dequeued and `deq(b)` must not precede `deq(a)`. Reports
+/// the first such `b` in history order, then its first `a`.
+fn check_ord(values: &[Value]) -> Result<(), Violation> {
+    // Enqueues by return time, each with the latest dequeue invocation
+    // among it and every enqueue returning earlier.
+    let mut by_ret: Vec<(u64, Option<u64>)> = values
+        .iter()
+        .map(|x| (x.enq.ret, x.deq.map(|d| d.invoke)))
+        .collect();
+    by_ret.sort_unstable_by_key(|&(ret, _)| ret);
+    let mut latest = Some(0);
+    for entry in &mut by_ret {
+        latest = later(latest, entry.1);
+        entry.1 = latest;
+    }
+    for b in values {
+        let Some(db) = b.deq else { continue };
+        let before = by_ret.partition_point(|&(ret, _)| ret < b.enq.invoke);
+        if before == 0 || !after(by_ret[before - 1].1, db.ret) {
+            continue;
+        }
+        let a = values
+            .iter()
+            .find(|a| a.enq.ret < b.enq.invoke && after(a.deq.map(|d| d.invoke), db.ret))
+            .expect("the running maximum names a violating enqueue");
+        return Err(Violation::Ord {
+            first: a.value,
+            second: b.value,
+        });
+    }
     Ok(())
 }
 
-/// Node budget for the default linearization search. At ~`O(n)` work per
-/// node this keeps a single check well under a millisecond-scale bound;
-/// the fuzzer's histories (a few hundred events) stay far below it in
-/// practice because the exact-state memo collapses the search space.
-pub const DEFAULT_SEARCH_BUDGET: usize = 200_000;
+/// VWit: an empty dequeue `n` is a violation iff its closure `P(n)` (see
+/// the crate docs) holds a value with [`Value::last_invoke`] after `n`
+/// returns. Sorted by first return, `P(n)` is a prefix of the values: it
+/// takes in values while their first return precedes the latest
+/// invocation seen so far (starting from `n`'s own). The prefix only
+/// grows with `n`'s invocation, so one sweep over the empty dequeues in
+/// invocation order computes every `P(n)`. Reports the first violating
+/// empty dequeue in history order, with its first late value.
+fn check_wit(events: &[Event], values: &[Value]) -> Result<(), Violation> {
+    let mut by_ret: Vec<usize> = (0..values.len()).collect();
+    by_ret.sort_by_key(|&k| values[k].first_ret());
+    let mut nulls: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i].op == Op::DeqNull)
+        .collect();
+    nulls.sort_by_key(|&i| events[i].invoke);
 
-/// Outcome of the explicit linearization search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SearchResult {
-    /// A legal sequential FIFO order exists.
-    Linearizable,
-    /// The whole search space was exhausted without finding one.
-    NoLinearization,
-    /// The node budget ran out first — the search is inconclusive and
-    /// callers treat it as a (conservative) pass.
-    BudgetExhausted,
-}
-
-/// Undo record for one applied operation in the search.
-enum Applied {
-    PushedBack,
-    PoppedFront(u64),
-    Nothing,
-}
-
-/// Wing & Gong-style DFS over linearization orders of a FIFO history.
-///
-/// At each step the candidates are the *minimal* remaining operations —
-/// those whose invocation precedes every remaining operation's return
-/// (no remaining op finished strictly before they began, so they may
-/// legally take the next linearization point). A candidate is applied to
-/// the abstract `VecDeque` queue model and the search recurses; visited
-/// `(done-set, queue-contents)` states are memoized exactly, which makes
-/// revisits — and there are combinatorially many — O(1) rejections.
-struct Search<'a> {
-    ev: &'a [Event],
-    done: Vec<bool>,
-    ndone: usize,
-    queue: std::collections::VecDeque<u64>,
-    seen: std::collections::HashSet<(Vec<u64>, Vec<u64>)>,
-    nodes: usize,
-    budget: usize,
-}
-
-impl Search<'_> {
-    /// Exact state key: done-set bitmap plus the queue contents. Both are
-    /// needed — two different done-sets can leave the same queue and vice
-    /// versa — and the key must be exact (not a hash digest) so the memo
-    /// can never wrongly prune a live branch into a false
-    /// `NoLinearization`.
-    fn key(&self) -> (Vec<u64>, Vec<u64>) {
-        let mut words = vec![0u64; self.done.len().div_ceil(64)];
-        for (i, &d) in self.done.iter().enumerate() {
-            if d {
-                words[i / 64] |= 1 << (i % 64);
-            }
+    // The lowest-indexed violating empty dequeue and the length of its
+    // prefix.
+    let mut first: Option<(usize, usize)> = None;
+    let (mut len, mut latest) = (0, Some(0));
+    for i in nulls {
+        let n = events[i];
+        while len < by_ret.len()
+            && latest.is_none_or(|t| values[by_ret[len]].first_ret() < t.max(n.invoke))
+        {
+            latest = later(latest, values[by_ret[len]].last_invoke());
+            len += 1;
         }
-        (words, self.queue.iter().copied().collect())
-    }
-
-    /// Applies operation `i` to the queue model, or `None` if illegal in
-    /// the current state.
-    fn apply(&mut self, i: usize) -> Option<Applied> {
-        match self.ev[i].op {
-            Op::Enq(v) => {
-                self.queue.push_back(v);
-                Some(Applied::PushedBack)
-            }
-            Op::DeqSome(v) => {
-                if self.queue.front() == Some(&v) {
-                    self.queue.pop_front();
-                    Some(Applied::PoppedFront(v))
-                } else {
-                    None
-                }
-            }
-            Op::DeqNull => {
-                if self.queue.is_empty() {
-                    Some(Applied::Nothing)
-                } else {
-                    None
-                }
-            }
+        if after(latest, n.ret) && first.is_none_or(|(j, _)| i < j) {
+            first = Some((i, len));
         }
     }
-
-    fn unapply(&mut self, a: Applied) {
-        match a {
-            Applied::PushedBack => {
-                self.queue.pop_back();
-            }
-            Applied::PoppedFront(v) => self.queue.push_front(v),
-            Applied::Nothing => {}
-        }
-    }
-
-    fn dfs(&mut self) -> SearchResult {
-        if self.ndone == self.ev.len() {
-            return SearchResult::Linearizable;
-        }
-        self.nodes += 1;
-        if self.nodes > self.budget {
-            return SearchResult::BudgetExhausted;
-        }
-        if !self.seen.insert(self.key()) {
-            // Already explored from this state and found nothing.
-            return SearchResult::NoLinearization;
-        }
-        // An op may linearize next iff no remaining op returned strictly
-        // before its invocation — equivalently its invocation is at or
-        // before the minimum remaining return time.
-        let min_ret = self
-            .ev
-            .iter()
-            .zip(&self.done)
-            .filter(|&(_, &d)| !d)
-            .map(|(e, _)| e.ret)
-            .min()
-            .expect("ndone < len");
-        for i in 0..self.ev.len() {
-            if self.done[i] || self.ev[i].invoke > min_ret {
-                continue;
-            }
-            let Some(undo) = self.apply(i) else { continue };
-            self.done[i] = true;
-            self.ndone += 1;
-            let r = self.dfs();
-            self.done[i] = false;
-            self.ndone -= 1;
-            self.unapply(undo);
-            if r != SearchResult::NoLinearization {
-                return r; // found one, or ran out of budget
-            }
-        }
-        SearchResult::NoLinearization
-    }
+    let Some((i, len)) = first else { return Ok(()) };
+    let n = events[i];
+    let witness = by_ret[..len]
+        .iter()
+        .copied()
+        .filter(|&k| after(values[k].last_invoke(), n.ret))
+        .min()
+        .expect("a violating prefix holds a late value");
+    Err(Violation::Wit {
+        witness: values[witness].value,
+        deq_thread: n.thread,
+    })
 }
-
-fn search_linearization(events: &[Event], budget: usize) -> SearchResult {
-    if events.is_empty() {
-        return SearchResult::Linearizable;
-    }
-    Search {
-        ev: events,
-        done: vec![false; events.len()],
-        ndone: 0,
-        queue: std::collections::VecDeque::new(),
-        seen: std::collections::HashSet::new(),
-        nodes: 0,
-        budget,
-    }
-    .dfs()
-}
-
-/// Complete linearizability check with an explicit node budget (see
-/// [`check_queue_linearizable`]).
-pub fn check_queue_linearizable_budgeted(events: &[Event], budget: usize) -> Result<(), Violation> {
-    // The pattern pass runs first so violations it can name keep their
-    // precise kind (and it is the cheaper check); the search then covers
-    // everything the patterns provably cannot express alone.
-    check_queue_history(events)?;
-    match search_linearization(events, budget) {
-        SearchResult::NoLinearization => Err(Violation::NoLinearization),
-        SearchResult::Linearizable | SearchResult::BudgetExhausted => Ok(()),
-    }
-}
-
-/// Complete linearizability check: the aspect pattern pass (precise
-/// violation kinds, always sound) followed by a Wing & Gong-style
-/// explicit search for a legal linearization order. The search makes the
-/// combined check complete for FIFO histories — any history it accepts
-/// within [`DEFAULT_SEARCH_BUDGET`] nodes really is linearizable, and
-/// any unlinearizable history is rejected (with the matching aspect kind
-/// when one applies, [`Violation::NoLinearization`] otherwise).
-pub fn check_queue_linearizable(events: &[Event]) -> Result<(), Violation> {
-    check_queue_linearizable_budgeted(events, DEFAULT_SEARCH_BUDGET)
-}
-
-/// Node budget per candidate during shrinking: each removal probe re-runs
-/// the full check, so individual probes get a smaller search allowance.
-const SHRINK_SEARCH_BUDGET: usize = 50_000;
 
 /// Minimizes a failing history: greedily removes events, keeping a
 /// removal only if the checker still reports a violation of the *same
@@ -400,7 +290,7 @@ const SHRINK_SEARCH_BUDGET: usize = 50_000;
 /// passes the checker. The result is 1-minimal: removing any single
 /// further event changes or clears the verdict.
 pub fn shrink_history(events: &[Event]) -> Option<(Vec<Event>, Violation)> {
-    let first = check_queue_linearizable_budgeted(events, SHRINK_SEARCH_BUDGET).err()?;
+    let first = check_queue_linearizable(events).err()?;
     let kind = std::mem::discriminant(&first);
     let mut cur = events.to_vec();
     let mut violation = first;
@@ -410,7 +300,7 @@ pub fn shrink_history(events: &[Event]) -> Option<(Vec<Event>, Violation)> {
         while i < cur.len() {
             let mut cand = cur.clone();
             cand.remove(i);
-            match check_queue_linearizable_budgeted(&cand, SHRINK_SEARCH_BUDGET) {
+            match check_queue_linearizable(&cand) {
                 Err(v) if std::mem::discriminant(&v) == kind => {
                     cur = cand;
                     violation = v;
@@ -475,7 +365,7 @@ mod tests {
 
     #[test]
     fn empty_history_ok() {
-        assert_eq!(check_queue_history(&[]), Ok(()));
+        assert_eq!(check_queue_linearizable(&[]), Ok(()));
     }
 
     #[test]
@@ -487,13 +377,16 @@ mod tests {
             ev(0, Op::DeqSome(2), 6, 7),
             ev(0, Op::DeqNull, 8, 9),
         ];
-        assert_eq!(check_queue_history(&h), Ok(()));
+        assert_eq!(check_queue_linearizable(&h), Ok(()));
     }
 
     #[test]
     fn detects_fresh() {
         let h = vec![ev(0, Op::DeqSome(9), 0, 1)];
-        assert_eq!(check_queue_history(&h), Err(Violation::Fresh { value: 9 }));
+        assert_eq!(
+            check_queue_linearizable(&h),
+            Err(Violation::Fresh { value: 9 })
+        );
     }
 
     #[test]
@@ -503,7 +396,10 @@ mod tests {
             ev(0, Op::DeqSome(1), 2, 3),
             ev(1, Op::DeqSome(1), 2, 3),
         ];
-        assert_eq!(check_queue_history(&h), Err(Violation::Repeat { value: 1 }));
+        assert_eq!(
+            check_queue_linearizable(&h),
+            Err(Violation::Repeat { value: 1 })
+        );
     }
 
     #[test]
@@ -514,7 +410,7 @@ mod tests {
             ev(1, Op::DeqSome(2), 4, 5),
         ];
         assert_eq!(
-            check_queue_history(&h),
+            check_queue_linearizable(&h),
             Err(Violation::Ord {
                 first: 1,
                 second: 2
@@ -531,7 +427,7 @@ mod tests {
             ev(1, Op::DeqSome(1), 6, 7), // invoked after deq(2) returned
         ];
         assert_eq!(
-            check_queue_history(&h),
+            check_queue_linearizable(&h),
             Err(Violation::Ord {
                 first: 1,
                 second: 2
@@ -548,7 +444,7 @@ mod tests {
             ev(2, Op::DeqSome(2), 11, 12),
             ev(2, Op::DeqSome(1), 13, 14),
         ];
-        assert_eq!(check_queue_history(&h), Ok(()));
+        assert_eq!(check_queue_linearizable(&h), Ok(()));
     }
 
     #[test]
@@ -560,7 +456,7 @@ mod tests {
             ev(1, Op::DeqSome(2), 4, 9),
             ev(2, Op::DeqSome(1), 4, 9),
         ];
-        assert_eq!(check_queue_history(&h), Ok(()));
+        assert_eq!(check_queue_linearizable(&h), Ok(()));
     }
 
     #[test]
@@ -571,7 +467,7 @@ mod tests {
             ev(2, Op::DeqSome(1), 4, 5),
         ];
         assert!(matches!(
-            check_queue_history(&h),
+            check_queue_linearizable(&h),
             Err(Violation::Wit { witness: 1, .. })
         ));
     }
@@ -584,7 +480,7 @@ mod tests {
             ev(1, Op::DeqNull, 2, 3),
             ev(1, Op::DeqSome(1), 6, 7),
         ];
-        assert_eq!(check_queue_history(&h), Ok(()));
+        assert_eq!(check_queue_linearizable(&h), Ok(()));
     }
 
     #[test]
@@ -596,14 +492,14 @@ mod tests {
             ev(1, Op::DeqSome(1), 2, 10),
             ev(2, Op::DeqNull, 3, 9),
         ];
-        assert_eq!(check_queue_history(&h), Ok(()));
+        assert_eq!(check_queue_linearizable(&h), Ok(()));
     }
 
     #[test]
     fn rejects_malformed_duplicate_enqueue() {
         let h = vec![ev(0, Op::Enq(1), 0, 1), ev(1, Op::Enq(1), 2, 3)];
         assert!(matches!(
-            check_queue_history(&h),
+            check_queue_linearizable(&h),
             Err(Violation::Malformed { .. })
         ));
     }
@@ -612,92 +508,44 @@ mod tests {
     fn rejects_malformed_interval() {
         let h = vec![ev(0, Op::Enq(1), 5, 1)];
         assert!(matches!(
-            check_queue_history(&h),
+            check_queue_linearizable(&h),
             Err(Violation::Malformed { .. })
         ));
     }
 
+    /// The reported violation is the first in history order, the same on
+    /// every call: each call hashes with fresh `HashMap` keys, so a check
+    /// that iterated its maps would wander between equal violations.
     #[test]
-    fn search_accepts_valid_histories() {
-        let histories: Vec<Vec<Event>> = vec![
-            vec![],
-            vec![
-                ev(0, Op::Enq(1), 0, 1),
-                ev(0, Op::Enq(2), 2, 3),
-                ev(0, Op::DeqSome(1), 4, 5),
-                ev(0, Op::DeqSome(2), 6, 7),
-                ev(0, Op::DeqNull, 8, 9),
-            ],
-            // Overlapping enqueues: either linearization order works.
-            vec![
-                ev(0, Op::Enq(1), 0, 10),
-                ev(1, Op::Enq(2), 0, 10),
-                ev(2, Op::DeqSome(2), 11, 12),
-                ev(2, Op::DeqSome(1), 13, 14),
-            ],
-            // Null concurrent with the removing dequeue.
-            vec![
-                ev(0, Op::Enq(1), 0, 1),
-                ev(1, Op::DeqSome(1), 2, 10),
-                ev(2, Op::DeqNull, 3, 9),
-            ],
+    fn reports_the_first_violation_in_history_order() {
+        // Eight sequential FIFO inversions: enq(a), enq(b), deq b, deq a.
+        let mut inversions = Vec::new();
+        for k in 0..8u64 {
+            let (a, b, t) = (10 * k + 1, 10 * k + 2, 10 * k);
+            inversions.push(ev(0, Op::Enq(a), t, t + 1));
+            inversions.push(ev(0, Op::Enq(b), t + 2, t + 3));
+            inversions.push(ev(1, Op::DeqSome(b), t + 4, t + 5));
+            inversions.push(ev(1, Op::DeqSome(a), t + 6, t + 7));
+        }
+        assert_eq!(inversions.len(), 32);
+        let fresh = [
+            ev(0, Op::DeqSome(5), 0, 1),
+            ev(0, Op::DeqSome(6), 2, 3),
+            ev(0, Op::DeqSome(7), 4, 5),
         ];
-        for h in &histories {
+        for _ in 0..16 {
             assert_eq!(
-                search_linearization(h, DEFAULT_SEARCH_BUDGET),
-                SearchResult::Linearizable
+                check_queue_linearizable(&inversions),
+                Err(Violation::Ord {
+                    first: 1,
+                    second: 2
+                })
             );
-            assert_eq!(check_queue_linearizable(h), Ok(()));
-        }
-    }
-
-    /// The search is an independent implementation: it must reject the
-    /// pattern-check's violation histories on its own (no legal order of
-    /// the queue model exists), not just defer to the pattern pass.
-    #[test]
-    fn search_independently_rejects_violations() {
-        let histories: Vec<Vec<Event>> = vec![
-            // FIFO inversion with strictly ordered dequeues.
-            vec![
-                ev(0, Op::Enq(1), 0, 1),
-                ev(0, Op::Enq(2), 2, 3),
-                ev(1, Op::DeqSome(2), 4, 5),
-                ev(1, Op::DeqSome(1), 6, 7),
-            ],
-            // Value dequeued twice.
-            vec![
-                ev(0, Op::Enq(1), 0, 1),
-                ev(0, Op::DeqSome(1), 2, 3),
-                ev(1, Op::DeqSome(1), 4, 5),
-            ],
-            // Value never enqueued.
-            vec![ev(0, Op::DeqSome(9), 0, 1)],
-            // Empty dequeue in a non-empty window.
-            vec![
-                ev(0, Op::Enq(1), 0, 1),
-                ev(1, Op::DeqNull, 2, 3),
-                ev(2, Op::DeqSome(1), 4, 5),
-            ],
-        ];
-        for h in &histories {
             assert_eq!(
-                search_linearization(h, DEFAULT_SEARCH_BUDGET),
-                SearchResult::NoLinearization
+                check_queue_linearizable(&fresh),
+                Err(Violation::Fresh { value: 5 })
             );
-            assert!(check_queue_linearizable(h).is_err());
         }
-    }
-
-    #[test]
-    fn exhausted_budget_is_a_conservative_pass() {
-        // Many mutually overlapping enqueues force a wide search frontier;
-        // with a one-node budget the search must give up, not misreport.
-        let mut h: Vec<Event> = (0..12).map(|i| ev(i, Op::Enq(i as u64), 0, 100)).collect();
-        for i in 0..12 {
-            h.push(ev(i, Op::DeqSome(i as u64), 101, 110));
-        }
-        assert_eq!(search_linearization(&h, 1), SearchResult::BudgetExhausted);
-        assert_eq!(check_queue_linearizable_budgeted(&h, 1), Ok(()));
     }
 
     #[test]
@@ -746,7 +594,7 @@ mod tests {
         r2.record(1, Op::DeqSome(1), 2, 3);
         let h = Recorder::merge([r1, r2]);
         assert_eq!(h.len(), 2);
-        assert_eq!(check_queue_history(&h), Ok(()));
+        assert_eq!(check_queue_linearizable(&h), Ok(()));
     }
 }
 
@@ -801,14 +649,14 @@ mod proptests {
             let n = rng.gen_usize(200);
             let ops: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
             let h = valid_history(ops);
-            assert_eq!(check_queue_history(&h), Ok(()));
+            assert_eq!(check_queue_linearizable(&h), Ok(()));
         }
     }
 
     /// Random linearizable *concurrent* histories: execute a sequential
     /// queue at increasing linearization points, then widen every
     /// operation's interval around its point. By construction a legal
-    /// order exists, so the full checker (patterns + search) must accept
+    /// order exists, so the checker must accept
     /// every history despite the overlapping intervals.
     #[test]
     fn accepts_randomized_concurrent_linearizable_histories() {
@@ -860,7 +708,7 @@ mod proptests {
             };
             h[d1].op = Op::DeqSome(b);
             h[d2].op = Op::DeqSome(a);
-            assert!(check_queue_history(&h).is_err(), "n={n}");
+            assert!(check_queue_linearizable(&h).is_err(), "n={n}");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Negative tests for the linearizability checker: hand-crafted
 //! histories that are *not* linearizable as a FIFO queue, each rejected
-//! with exactly the right `Violation` kind — and each minimized by the
+//! with exactly the expected `Violation` — and each minimized by the
 //! shrinker to a 1-minimal witness of the same kind.
 
 use linearize::{check_queue_linearizable, shrink_history, Event, Op, Violation};
@@ -15,17 +15,12 @@ fn ev(thread: usize, op: Op, invoke: u64, ret: u64) -> Event {
     }
 }
 
-/// Checks `history` is rejected with `expect`'s kind, then that the
+/// Checks `history` is rejected with exactly `expect`, then that the
 /// shrinker preserves the kind and produces a 1-minimal witness:
 /// removing any single event either legalizes the history or changes the
 /// violation kind.
 fn assert_rejected_and_minimized(history: &[Event], expect: &Violation) {
-    let got = check_queue_linearizable(history).expect_err("history must be rejected");
-    assert_eq!(
-        discriminant(&got),
-        discriminant(expect),
-        "wrong violation kind: got {got}, expected like {expect}"
-    );
+    assert_eq!(check_queue_linearizable(history).as_ref(), Err(expect));
 
     let (min, min_v) = shrink_history(history).expect("failing history must shrink");
     assert_eq!(
@@ -68,6 +63,13 @@ fn invented_value_is_fresh() {
     // A dequeue returns a value nobody enqueued (a lost/corrupted cell).
     let h = [ev(0, Op::Enq(1), 0, 1), ev(1, Op::DeqSome(2), 2, 3)];
     assert_rejected_and_minimized(&h, &Violation::Fresh { value: 2 });
+}
+
+#[test]
+fn dequeue_before_its_enqueue_is_fresh() {
+    // The value comes out before anyone started putting it in.
+    let h = [ev(1, Op::DeqSome(1), 0, 1), ev(0, Op::Enq(1), 2, 3)];
+    assert_rejected_and_minimized(&h, &Violation::Fresh { value: 1 });
 }
 
 #[test]
@@ -124,6 +126,27 @@ fn lost_enqueue_is_detected() {
         &h,
         &Violation::Wit {
             witness: 9,
+            deq_thread: 1,
+        },
+    );
+}
+
+#[test]
+fn empty_dequeue_covered_by_a_chain_is_wit() {
+    // No single value spans the null dequeue's window [10, 20], yet the
+    // queue is never empty within it: 1 is in until its dequeue begins
+    // at 15, and 2 is in from 13 until its dequeue begins at 25.
+    let h = [
+        ev(0, Op::Enq(1), 0, 1),
+        ev(1, Op::DeqNull, 10, 20),
+        ev(2, Op::Enq(2), 12, 13),
+        ev(3, Op::DeqSome(1), 15, 16),
+        ev(3, Op::DeqSome(2), 25, 26),
+    ];
+    assert_rejected_and_minimized(
+        &h,
+        &Violation::Wit {
+            witness: 2,
             deq_thread: 1,
         },
     );

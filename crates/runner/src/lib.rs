@@ -32,18 +32,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Worker-thread count to use when the caller does not specify one:
-/// `SBQ_JOBS` when set to a positive integer, else the host's available
-/// parallelism (1 if that cannot be determined).
+/// Worker-thread count to use when the caller does not specify one: the
+/// host's available parallelism (1 if that cannot be determined).
 pub fn default_jobs() -> usize {
-    if let Some(n) = std::env::var("SBQ_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -366,12 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_is_positive_and_honours_env() {
+    fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-        std::env::set_var("SBQ_JOBS", "3");
-        assert_eq!(default_jobs(), 3);
-        std::env::set_var("SBQ_JOBS", "not-a-number");
-        assert!(default_jobs() >= 1);
-        std::env::remove_var("SBQ_JOBS");
     }
 }

@@ -31,6 +31,10 @@ pub struct Artifact {
     pub violation: String,
 }
 
+/// Every token [`violation_token`] produces; an artifact naming any
+/// other kind is rejected.
+const VIOLATION_TOKENS: [&str; 5] = ["fresh", "repeat", "ord", "wit", "malformed"];
+
 /// Stable, machine-comparable token for a violation kind (payloads are
 /// deliberately excluded: replays compare kinds, not witness values).
 pub fn violation_token(v: &Violation) -> &'static str {
@@ -40,7 +44,6 @@ pub fn violation_token(v: &Violation) -> &'static str {
         Violation::Ord { .. } => "ord",
         Violation::Wit { .. } => "wit",
         Violation::Malformed { .. } => "malformed",
-        Violation::NoLinearization => "nolinearization",
     }
 }
 
@@ -124,7 +127,10 @@ pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
             "unsupported artifact version {version} (expected {ARTIFACT_VERSION})"
         ));
     }
-    let violation = take("violation")?.to_string();
+    let violation = take("violation")?;
+    if !VIOLATION_TOKENS.contains(&violation) {
+        return Err(format!("unknown violation kind `{violation}`"));
+    }
     let queue = take("queue")?;
     let queue = QueueKind::parse(queue).ok_or_else(|| format!("unknown queue `{queue}`"))?;
     let mut int = |key: &str| {
@@ -149,7 +155,10 @@ pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
             run.threads, run.machine.cores
         ));
     }
-    Ok(Artifact { run, violation })
+    Ok(Artifact {
+        run,
+        violation: violation.to_string(),
+    })
 }
 
 /// Reads and parses an artifact file.
@@ -164,7 +173,14 @@ mod tests {
     use crate::plan::FuzzPlan;
 
     fn artifact(plan: &FuzzPlan) -> String {
-        render_artifact(&plan.run(), &Violation::NoLinearization, &[])
+        render_artifact(
+            &plan.run(),
+            &Violation::Ord {
+                first: 1,
+                second: 2,
+            },
+            &[],
+        )
     }
 
     #[test]
@@ -183,6 +199,32 @@ mod tests {
             assert_eq!(art.run, plan.run());
             assert_eq!(art.violation, "repeat");
         }
+    }
+
+    #[test]
+    fn violation_tokens_parse_back() {
+        let good = artifact(&FuzzPlan::derive(5, None));
+        let kinds = [
+            Violation::Fresh { value: 1 },
+            Violation::Repeat { value: 1 },
+            Violation::Ord {
+                first: 1,
+                second: 2,
+            },
+            Violation::Wit {
+                witness: 1,
+                deq_thread: 0,
+            },
+            Violation::Malformed {
+                reason: String::new(),
+            },
+        ];
+        for v in &kinds {
+            let token = violation_token(v);
+            let text = good.replace("violation ord", &format!("violation {token}"));
+            assert_eq!(parse_artifact(&text).expect("parse").violation, token);
+        }
+        assert_eq!(kinds.map(|v| violation_token(&v)), VIOLATION_TOKENS);
     }
 
     #[test]
@@ -205,6 +247,10 @@ mod tests {
         assert!(err(format!("{good}timer-period 9\n")).contains("unknown key `timer-period`"));
         assert!(err(format!("{good}hop-intra=1\n")).contains("duplicate machine key"));
         assert!(err(format!("{good}hop=1\n")).contains("unknown machine key `hop`"));
+        for kind in ["nolinearization", "wti", ""] {
+            let bad = good.replace("violation ord", &format!("violation {kind}"));
+            assert!(err(bad).contains("unknown violation kind"), "{kind:?}");
+        }
     }
 
     /// A v2 artifact carried ten plan knobs instead of a machine; it is

@@ -13,8 +13,9 @@
 //! delay-jitter extremes, scheduler-choice perturbation, topology, and
 //! the §3.4.1 microarchitectural fix. The run records every operation
 //! through [`linearize::Recorder`] (via [`harness::record_history`]) and
-//! checks the merged history with the complete (pattern + Wing&Gong
-//! search) checker.
+//! checks the merged history with the exact
+//! [`linearize::check_queue_linearizable`], so every seed gets a
+//! verdict.
 //!
 //! On the simulator a violation is shrunk: [`shrink_plan`] greedily
 //! minimizes the plan (fewer ops, fewer threads, fewer fault knobs)

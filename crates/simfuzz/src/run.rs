@@ -1,6 +1,6 @@
 //! The fuzz runner: executes one [`FuzzRun`] through the backend-generic
 //! [`harness::record_history`] driver and checks the merged history with
-//! the full (pattern + search) linearizability checker.
+//! the exact linearizability checker, [`check_queue_linearizable`].
 //!
 //! Reproducibility contract (simulator backend): [`run_sim`] consumes
 //! *only* the run. Thread op streams come from its seed, machine noise

@@ -98,8 +98,8 @@
 //!               real threads AND on the simulator, cross-checking
 //!               linearizability and the drained dequeue multisets
 //! artifacts     reproducer output directory  default fuzz-artifacts
-//! jobs          worker threads for the seed pool; 0 = auto
-//!               (SBQ_JOBS or the host parallelism)   default auto
+//! jobs          worker threads for the seed pool; 0 = the host's
+//!               available parallelism                 default 0
 //! runner-trace  write the pool's utilization Chrome trace here
 //! repro         replay one artifact instead of running a campaign
 //! ```
@@ -300,7 +300,7 @@ fn split_args<'a>(args: &'a [String], n: usize, what: &str) -> Res<(&'a [String]
     Ok((pos, Keys::parse(rest)?))
 }
 
-/// `jobs=0` means auto: `SBQ_JOBS` or the host's parallelism.
+/// `jobs=0` means the host's available parallelism.
 fn jobs_or_auto(jobs: usize) -> usize {
     if jobs == 0 {
         runner::default_jobs()
@@ -432,7 +432,7 @@ fn fuzz_main(args: &[String]) -> Res<()> {
             .str("artifacts")
             .map(Into::into)
             .or(defaults.artifacts_dir),
-        // Auto by default: SBQ_JOBS or the host's available parallelism.
+        // The host's available parallelism by default.
         jobs: keys.num("jobs")?.unwrap_or(0),
     };
     let runner_trace = keys.str("runner-trace");

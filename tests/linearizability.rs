@@ -18,7 +18,7 @@ use harness::{
     dequeue_multiset, enqueue_multiset, mixed_ops, record_history, Backend, DriveOutcome,
     DriveSpec, NativeBackend, QueueAdapter, QueueKind, QueueParams, SimBackend,
 };
-use linearize::check_queue_history;
+use linearize::check_queue_linearizable;
 use sbq::txcas::TxCasParams;
 
 const THREADS: usize = 3;
@@ -58,7 +58,7 @@ fn assert_clean(name: &str, backend: &str, out: &DriveOutcome) {
             .any(|e| matches!(e.op, linearize::Op::Enq(_))),
         "{name} on {backend}: history must contain operations"
     );
-    if let Err(v) = check_queue_history(&out.history) {
+    if let Err(v) = check_queue_linearizable(&out.history) {
         panic!("{name} on {backend} not linearizable: {v}");
     }
     assert_eq!(
