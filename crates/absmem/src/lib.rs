@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn standard_cas_semantics() {
-        let heap = Arc::new(NativeHeap::new(1 << 12));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let a = ctx.alloc(1);
         ctx.write(a, 7);
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn delayed_cas_fails_fast_on_stale_old() {
-        let heap = Arc::new(NativeHeap::new(1 << 12));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let a = ctx.alloc(1);
         ctx.write(a, 1);

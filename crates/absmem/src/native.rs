@@ -64,7 +64,11 @@ pub fn busy_wait_cycles(cycles: u64) {
     }
 }
 
-/// A fixed-capacity native heap of 64-bit words shared by all threads.
+/// Words every [`NativeHeap`] reserves: 2^24, 128 MiB of address space.
+pub const HEAP_WORDS: usize = 1 << 24;
+
+/// A native heap of 64-bit words shared by all threads, reserving
+/// [`HEAP_WORDS`] words.
 pub struct NativeHeap {
     words: Box<[AtomicU64]>,
     pool: Arc<WordPool>,
@@ -72,13 +76,16 @@ pub struct NativeHeap {
 }
 
 impl NativeHeap {
-    /// Creates a heap with capacity for `words` words. Word 0 is the NULL
-    /// sentinel. Allocation past the capacity panics — size generously.
-    pub fn new(words: usize) -> Self {
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
+    /// Creates a heap. Word 0 is the NULL sentinel. The [`HEAP_WORDS`]
+    /// reservation is address space: the system allocator maps its zero
+    /// pages on first touch, so a heap's memory grows only with the words
+    /// its queues use, as with the paper's Memkind. Allocation past the
+    /// reservation panics.
+    pub fn new() -> Self {
+        // SAFETY: all-zero bytes are a valid `AtomicU64` (value 0).
+        let words = unsafe { Box::<[AtomicU64]>::new_zeroed_slice(HEAP_WORDS).assume_init() };
         NativeHeap {
-            words: v.into_boxed_slice(),
+            words,
             pool: Arc::new(WordPool::new(8)),
             epoch: Instant::now(),
         }
@@ -97,15 +104,23 @@ impl NativeHeap {
         }
     }
 
-    /// Number of words of capacity.
-    pub fn capacity(&self) -> usize {
-        self.words.len()
+    /// The allocator's frontier: one past the highest word address ever
+    /// handed out. Freed words are reused below it, so it bounds the words
+    /// the heap has touched.
+    pub fn high_water(&self) -> u64 {
+        self.pool.high_water()
     }
 
     #[inline]
     fn word(&self, a: Addr) -> &AtomicU64 {
         debug_assert_ne!(a, 0, "access to NULL");
         &self.words[a as usize]
+    }
+}
+
+impl Default for NativeHeap {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -169,9 +184,11 @@ impl ThreadCtx for NativeCtx {
 
     fn alloc(&mut self, words: usize) -> Addr {
         let a = self.cache.alloc(words);
+        let end = a as usize + words;
         assert!(
-            (a as usize) + words <= self.heap.words.len(),
-            "native heap exhausted: grow NativeHeap::new capacity"
+            end <= HEAP_WORDS,
+            "native heap exhausted: words {a}..{end} lie past the \
+             {HEAP_WORDS}-word (2^24) reservation"
         );
         a
     }
@@ -243,7 +260,7 @@ mod tests {
 
     #[test]
     fn rmw_primitives_match_spec() {
-        let heap = Arc::new(NativeHeap::new(1 << 10));
+        let heap = Arc::new(NativeHeap::new());
         let mut c = heap.ctx(0);
         let a = c.alloc(1);
         c.write(a, 10);
@@ -257,8 +274,25 @@ mod tests {
     }
 
     #[test]
+    fn fresh_words_read_zero_across_the_reservation() {
+        let heap = Arc::new(NativeHeap::new());
+        let mut c = heap.ctx(0);
+        for a in [1, HEAP_WORDS as u64 / 2, HEAP_WORDS as u64 - 1] {
+            assert_eq!(c.read(a), 0, "word {a}");
+        }
+        assert_eq!(heap.high_water(), 8, "reads allocate nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 16777216-word (2^24) reservation")]
+    fn alloc_past_the_reservation_panics() {
+        let heap = Arc::new(NativeHeap::new());
+        heap.ctx(0).alloc(HEAP_WORDS);
+    }
+
+    #[test]
     fn concurrent_faa_loses_no_increments() {
-        let heap = Arc::new(NativeHeap::new(1 << 10));
+        let heap = Arc::new(NativeHeap::new());
         let a = {
             let mut c = heap.ctx(0);
             let a = c.alloc(1);
@@ -276,7 +310,7 @@ mod tests {
 
     #[test]
     fn concurrent_cas_elects_single_winner_per_round() {
-        let heap = Arc::new(NativeHeap::new(1 << 10));
+        let heap = Arc::new(NativeHeap::new());
         let a = {
             let mut c = heap.ctx(0);
             let a = c.alloc(1);
@@ -302,7 +336,7 @@ mod tests {
 
     #[test]
     fn delay_spends_roughly_requested_time() {
-        let heap = Arc::new(NativeHeap::new(1 << 10));
+        let heap = Arc::new(NativeHeap::new());
         let mut c = heap.ctx(0);
         let t0 = Instant::now();
         c.delay(220_000); // 100 µs at 2.2 GHz
@@ -312,7 +346,7 @@ mod tests {
 
     #[test]
     fn now_is_monotonic() {
-        let heap = Arc::new(NativeHeap::new(1 << 10));
+        let heap = Arc::new(NativeHeap::new());
         let mut c = heap.ctx(0);
         let a = c.now();
         c.delay(10_000);

@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn lifo_basket_contract() {
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let b = LifoBasket;
         let base = ctx.alloc(b.words());
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn seal_on_empty_extract_blocks_late_inserts() {
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let b = LifoBasket;
         let base = ctx.alloc(b.words());
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn queue_fifo_single_thread() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = new_bq_original(&mut ctx, QueueConfig::default());
         let mut st = EnqueuerState::default();
@@ -155,7 +155,7 @@ mod tests {
     fn queue_conservation_concurrent() {
         const N: usize = 4;
         const PER: u64 = 1_000;
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
             new_bq_original(

@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn fifo_single_thread() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = CcQueue::new(&mut ctx);
         let mut h = q.handle(&mut ctx);
@@ -222,7 +222,7 @@ mod tests {
     fn mpmc_conservation_native() {
         const N: usize = 4;
         const PER: u64 = 1_500;
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
             CcQueue::new(&mut ctx)
@@ -255,7 +255,7 @@ mod tests {
         // per producer holds.
         const N: usize = 3;
         const PER: u64 = 500;
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
             CcQueue::new(&mut ctx)

@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn fifo_single_thread() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = MsQueue::new(&mut ctx, 4, true);
         assert_eq!(q.dequeue(&mut ctx), None);
@@ -206,7 +206,7 @@ mod tests {
     fn mpmc_conservation_native() {
         const N: usize = 4;
         const PER: u64 = 1_500;
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
             MsQueue::new(&mut ctx, N, true)
@@ -237,7 +237,7 @@ mod tests {
         // Values from one producer must come out in that producer's order.
         const N: usize = 3;
         const PER: u64 = 800;
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
             MsQueue::new(&mut ctx, N, true)

@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn fifo_single_thread() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = MsQueueHp::new(&mut ctx, 1);
         let mut st = q.thread_state(1);
@@ -170,7 +170,7 @@ mod tests {
     fn mpmc_conservation_with_reclamation() {
         const N: usize = 4;
         const PER: u64 = 1_500;
-        let heap = Arc::new(NativeHeap::new(1 << 23));
+        let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
             MsQueueHp::new(&mut ctx, N)
@@ -207,10 +207,10 @@ mod tests {
         // Identical deterministic schedule against both reclamation
         // schemes must produce identical dequeue sequences.
         let ops: Vec<bool> = (0..2_000).map(|i| (i * 7 + 3) % 11 < 6).collect();
-        let heap1 = Arc::new(NativeHeap::new(1 << 22));
+        let heap1 = Arc::new(NativeHeap::new());
         let mut c1 = heap1.ctx(0);
         let q1 = crate::MsQueue::new(&mut c1, 1, true);
-        let heap2 = Arc::new(NativeHeap::new(1 << 22));
+        let heap2 = Arc::new(NativeHeap::new());
         let mut c2 = heap2.ctx(0);
         let q2 = MsQueueHp::new(&mut c2, 1);
         let mut st2 = q2.thread_state(1);

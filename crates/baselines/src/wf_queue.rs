@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn fifo_single_thread_across_segments() {
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = WfQueue::new(&mut ctx, 2, true);
         let mut h = q.handle(&mut ctx);
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn empty_dequeue_returns_none_and_poisons() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = WfQueue::new(&mut ctx, 1, true);
         let mut h = q.handle(&mut ctx);
@@ -273,7 +273,7 @@ mod tests {
     fn mpmc_conservation_native() {
         const N: usize = 4;
         const PER: u64 = 2_000;
-        let heap = Arc::new(NativeHeap::new(1 << 23));
+        let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
             WfQueue::new(&mut ctx, N, true)
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn segment_reclamation_advances_head() {
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = WfQueue::new(&mut ctx, 1, true);
         let mut h = q.handle(&mut ctx);

@@ -296,7 +296,7 @@ pub fn run_workload(kind: QueueKind, w: &Workload) -> Measurement {
 
 /// Runs `w` on native atomics (real OS threads, wall-clock time).
 pub fn run_workload_native(kind: QueueKind, w: &Workload) -> Measurement {
-    let mut backend = NativeBackend::default();
+    let mut backend = NativeBackend;
     kind.visit::<absmem::native::NativeCtx, _>(WorkloadDriver {
         backend: &mut backend,
         w,
@@ -356,7 +356,7 @@ pub fn trace_workload(kind: QueueKind, w: &Workload, backend: BackendKind) -> Tr
             })
         }
         BackendKind::Native => {
-            let mut b = NativeBackend::default();
+            let mut b = NativeBackend;
             kind.visit::<absmem::native::NativeCtx, _>(TraceDriver {
                 backend: &mut b,
                 w,

@@ -169,7 +169,7 @@ mod tests {
     use std::sync::Arc;
 
     fn setup(b: &SbqBasket) -> (Arc<NativeHeap>, Addr) {
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let base = ctx.alloc(b.words());
         b.init(&mut ctx, base);
@@ -258,7 +258,7 @@ mod tests {
         use absmem::native::run_threads;
         use absmem::ThreadCtx as _;
         let b = SbqBasket::new(8);
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let base = {
             let mut ctx = heap.ctx(0);
             let base = ctx.alloc(b.words());

@@ -144,7 +144,7 @@ mod tests {
     use std::sync::Arc;
 
     fn setup(b: &StripedBasket) -> (Arc<NativeHeap>, Addr) {
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let base = ctx.alloc(b.words());
         b.init(&mut ctx, base);
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn concurrent_extract_no_duplicates() {
         let b = StripedBasket::new(16);
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let base = {
             let mut ctx = heap.ctx(0);
             let base = ctx.alloc(b.words());
@@ -224,7 +224,7 @@ mod tests {
     fn works_as_queue_basket() {
         use crate::modular::{EnqueuerState, ModularQueue, QueueConfig};
         use absmem::StandardCas;
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = ModularQueue::new(
             &mut ctx,

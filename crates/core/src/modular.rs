@@ -440,7 +440,7 @@ mod tests {
 
     #[test]
     fn fifo_order_single_thread() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let q = new_queue(&heap);
         let mut ctx = heap.ctx(0);
         let mut st = EnqueuerState::default();
@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn empty_queue_dequeues_none() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let q = new_queue(&heap);
         let mut ctx = heap.ctx(0);
         assert_eq!(q.dequeue(&mut ctx), None);
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn interleaved_enqueue_dequeue() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let q = new_queue(&heap);
         let mut ctx = heap.ctx(0);
         let mut st = EnqueuerState::default();
@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn single_basket_yields_ms_queue_fifo() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = ModularQueue::new(&mut ctx, SingleBasket, StandardCas, QueueConfig::default());
         let mut st = EnqueuerState::default();
@@ -498,7 +498,7 @@ mod tests {
 
     #[test]
     fn reclamation_frees_drained_prefix() {
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let q = new_queue(&heap);
         let mut ctx = heap.ctx(0);
         let mut st = EnqueuerState::default();
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn two_handles_share_state() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let q = new_queue(&heap);
         let q2 = ModularQueue::from_base(
             q.base(),

@@ -49,16 +49,12 @@ unsafe impl<T: Send> Sync for Sbq<T> {}
 
 impl<T> Sbq<T> {
     /// Creates a queue for up to `max_threads` concurrently attached
-    /// handles.
+    /// handles. The queue's nodes live in its own [`NativeHeap`], whose
+    /// 2^24-word (128 MiB) reservation is address space, paid for only as
+    /// nodes touch it.
     pub fn new(max_threads: usize) -> Self {
-        Self::with_heap_words(max_threads, 1 << 22)
-    }
-
-    /// As [`new`](Self::new) with an explicit internal heap size (words)
-    /// for workloads that hold very many elements in flight.
-    pub fn with_heap_words(max_threads: usize, heap_words: usize) -> Self {
         assert!(max_threads > 0);
-        let heap = Arc::new(NativeHeap::new(heap_words));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let queue = ModularQueue::new(
             &mut ctx,

@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn sbq_cas_fifo_on_native_backend() {
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = new_sbq_cas(
             &mut ctx,

@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn protect_returns_current_pointer() {
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let dom = HazardDomain::new(&mut ctx, 2, 2);
         let src = ctx.alloc(1);
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn protected_nodes_survive_scan() {
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let dom = HazardDomain::new(&mut ctx, 1, 1);
         let a = ctx.alloc(2);
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn freed_addresses_recycle() {
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let dom = HazardDomain::new(&mut ctx, 1, 1);
         let mut rl = RetireList::with_threshold(1);
@@ -244,7 +244,7 @@ mod tests {
         // Thread 0 repeatedly retires nodes; thread 1 protects the shared
         // pointer and verifies the node's payload stays intact while
         // protected.
-        let heap = Arc::new(NativeHeap::new(1 << 20));
+        let heap = Arc::new(NativeHeap::new());
         let (dom, src) = {
             let mut ctx = heap.ctx(0);
             let dom = HazardDomain::new(&mut ctx, 2, 1);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// Sequential queue operations driven from a random script: the modular
 /// SBQ must match a VecDeque exactly.
 fn check_against_model(ops: &[bool], basket_cap: usize) {
-    let heap = Arc::new(NativeHeap::new(1 << 22));
+    let heap = Arc::new(NativeHeap::new());
     let mut ctx = heap.ctx(0);
     let q = ModularQueue::new(
         &mut ctx,
@@ -83,7 +83,7 @@ fn basket_conserves_and_empty_is_sticky() {
                 .collect()
         };
         let b = SbqBasket::new(cap);
-        let heap = Arc::new(NativeHeap::new(1 << 16));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let base = ctx.alloc(b.words());
         b.init(&mut ctx, base);
@@ -143,7 +143,7 @@ fn basket_conserves_and_empty_is_sticky() {
 /// (basket capacity 2) exercises the node-skip path.
 #[test]
 fn dequeue_skips_emptied_nodes() {
-    let heap = Arc::new(NativeHeap::new(1 << 22));
+    let heap = Arc::new(NativeHeap::new());
     let mut ctx = heap.ctx(0);
     let q = ModularQueue::new(
         &mut ctx,

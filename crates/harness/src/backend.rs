@@ -91,27 +91,12 @@ impl Backend for SimBackend {
 }
 
 /// The native backend: real OS threads over real `AtomicU64`s. Each run
-/// gets a fresh [`NativeHeap`]; the setup job runs alone on thread id 0
-/// (with a unit barrier, so phased generic code works unchanged), then
-/// every program runs on its own scoped OS thread sharing one barrier
-/// group.
-pub struct NativeBackend {
-    heap_words: usize,
-}
-
-impl NativeBackend {
-    /// A backend whose runs allocate `heap_words`-word heaps.
-    pub fn new(heap_words: usize) -> Self {
-        NativeBackend { heap_words }
-    }
-}
-
-impl Default for NativeBackend {
-    /// 2^23 words (64 MiB): ample for every suite workload.
-    fn default() -> Self {
-        NativeBackend::new(1 << 23)
-    }
-}
+/// gets a fresh [`NativeHeap`], whose 2^24-word (128 MiB) reservation is
+/// address space, paid for only as the run touches it; the setup job runs
+/// alone on thread id 0 (with a unit barrier, so phased generic code works
+/// unchanged), then every program runs on its own scoped OS thread sharing
+/// one barrier group.
+pub struct NativeBackend;
 
 impl Backend for NativeBackend {
     type Ctx = NativeCtx;
@@ -121,7 +106,7 @@ impl Backend for NativeBackend {
     }
 
     fn run(&mut self, setup: Job<NativeCtx>, programs: Vec<Job<NativeCtx>>) -> BackendReport {
-        let heap = Arc::new(NativeHeap::new(self.heap_words));
+        let heap = Arc::new(NativeHeap::new());
         {
             let mut ctx = heap.ctx(0).with_barrier(Arc::new(Barrier::new(1)));
             setup(&mut ctx);
@@ -185,7 +170,7 @@ mod tests {
     fn native_setup_publishes_to_programs() {
         use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
         let base = Arc::new(AtomicU64::new(0));
-        let mut be = NativeBackend::new(1 << 12);
+        let mut be = NativeBackend;
         let b1 = Arc::clone(&base);
         let sum = Arc::new(AtomicU64::new(0));
         let programs: Vec<Job<NativeCtx>> = (0..2)

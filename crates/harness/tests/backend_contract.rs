@@ -65,7 +65,7 @@ fn faa_program<B: Backend>(backend: &mut B) -> (Vec<u64>, u64) {
 #[test]
 fn faa_program_agrees_across_backends() {
     let mut sim = SimBackend::new(MachineConfig::single_socket(THREADS));
-    let mut native = NativeBackend::default();
+    let mut native = NativeBackend;
     let (sim_counts, sim_final) = faa_program(&mut sim);
     let (native_counts, native_final) = faa_program(&mut native);
 
@@ -85,7 +85,7 @@ fn recorded_histories_are_linearizable_on_both_backends() {
 
     let mut sim = SimBackend::new(MachineConfig::single_socket(THREADS));
     let sim_out = record_history(&mut sim, QueueKind::MsQueue, spec());
-    let mut native = NativeBackend::default();
+    let mut native = NativeBackend;
     let native_out = record_history(&mut native, QueueKind::MsQueue, spec());
 
     for (name, out) in [("sim", &sim_out), ("native", &native_out)] {

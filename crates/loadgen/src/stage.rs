@@ -439,7 +439,7 @@ pub fn run_load(
             })
         }
         BackendKind::Native => {
-            let mut b = NativeBackend::default();
+            let mut b = NativeBackend;
             kind.visit::<absmem::native::NativeCtx, _>(LoadDriver {
                 backend: &mut b,
                 plan,

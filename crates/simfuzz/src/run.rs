@@ -136,7 +136,7 @@ pub fn trace_plan(plan: &FuzzPlan) -> String {
 /// have no native equivalent and are ignored; the op streams, queue
 /// kind, and thread count are honored exactly.
 pub fn run_native(run: &FuzzRun, drain: bool) -> RunOutcome {
-    let mut backend = NativeBackend::default();
+    let mut backend = NativeBackend;
     let out = record_history(&mut backend, run.queue, spec(run, drain));
     let violation = check_queue_linearizable(&out.history).err();
     let fingerprint = format!(

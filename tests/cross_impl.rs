@@ -68,7 +68,7 @@ fn modular_single_basket_matches_standalone_ms_queue_and_model() {
         let expect = reference(&ops);
 
         // Standalone Michael–Scott.
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let ms = MsQueue::new(&mut ctx, 2, true);
         let got_ms = drive!(&ops, |v| ms.enqueue(&mut ctx, v), ms.dequeue(&mut ctx));
@@ -78,7 +78,7 @@ fn modular_single_basket_matches_standalone_ms_queue_and_model() {
         );
 
         // Modular queue instantiated as MS (SingleBasket).
-        let heap2 = Arc::new(NativeHeap::new(1 << 22));
+        let heap2 = Arc::new(NativeHeap::new());
         let mut ctx2 = heap2.ctx(0);
         let mq = ModularQueue::new(&mut ctx2, SingleBasket, StandardCas, QueueConfig::default());
         let mut st = EnqueuerState::default();
@@ -101,7 +101,7 @@ fn sbq_single_threaded_matches_model() {
     for (seed, p_enq) in [(3u64, 150u8), (11, 200), (23, 80)] {
         let ops = op_sequence(3_000, p_enq, seed);
         let expect = reference(&ops);
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = ModularQueue::new(
             &mut ctx,
@@ -128,7 +128,7 @@ fn wf_queue_single_threaded_matches_model() {
     for (seed, p_enq) in [(5u64, 170u8), (13, 90)] {
         let ops = op_sequence(3_000, p_enq, seed);
         let expect = reference(&ops);
-        let heap = Arc::new(NativeHeap::new(1 << 23));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = baselines::WfQueue::new(&mut ctx, 1, true);
         let mut h = q.handle(&mut ctx);
@@ -149,7 +149,7 @@ fn cc_queue_single_threaded_matches_model() {
     for (seed, p_enq) in [(17u64, 140u8), (29, 210)] {
         let ops = op_sequence(2_000, p_enq, seed);
         let expect = reference(&ops);
-        let heap = Arc::new(NativeHeap::new(1 << 22));
+        let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
         let q = baselines::CcQueue::new(&mut ctx);
         let mut h = q.handle(&mut ctx);

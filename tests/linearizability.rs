@@ -79,7 +79,7 @@ fn every_queue_on_the_simulator_is_linearizable_and_conserving() {
 #[test]
 fn every_queue_on_native_atomics_is_linearizable_and_conserving() {
     for kind in QueueKind::ALL {
-        let out = record_history(&mut NativeBackend::default(), kind, spec());
+        let out = record_history(&mut NativeBackend, kind, spec());
         assert_clean(kind.name(), "native", &out);
     }
 }
@@ -147,5 +147,5 @@ fn run_ms_hp<B: Backend>(backend: &mut B, label: &str) {
 #[test]
 fn ms_queue_hp_adapter_runs_on_both_backends() {
     run_ms_hp(&mut sim_backend(), "sim");
-    run_ms_hp(&mut NativeBackend::default(), "native");
+    run_ms_hp(&mut NativeBackend, "native");
 }

@@ -10,7 +10,7 @@ use sbq::SbqBasket;
 use std::sync::Arc;
 
 fn stress(threads: usize, per: u64, reclaim: bool) -> Vec<u64> {
-    let heap = Arc::new(NativeHeap::new(1 << 24));
+    let heap = Arc::new(NativeHeap::new());
     let q = {
         let mut ctx = heap.ctx(0);
         ModularQueue::new(
@@ -64,70 +64,58 @@ fn reclaiming_queue_conserves_elements_under_stress() {
     }
 }
 
-#[test]
-fn reclamation_bounds_memory_growth() {
-    // With reclamation the allocator frontier must grow far less than the
-    // total node count; without it, every node costs fresh address space.
-    let heap_r = Arc::new(NativeHeap::new(1 << 24));
-    let heap_n = Arc::new(NativeHeap::new(1 << 24));
-    let run = |heap: &Arc<NativeHeap>, reclaim: bool| {
-        let q = {
-            let mut ctx = heap.ctx(0);
-            ModularQueue::new(
-                &mut ctx,
-                SbqBasket::new(2),
-                StandardCas,
-                QueueConfig {
-                    max_threads: 2,
-                    reclaim,
-                    poison_on_free: true,
-                },
-            )
-        };
-        let mut ctx = heap.ctx(1);
-        let mut st = EnqueuerState::default();
-        for i in 0..20_000u64 {
-            q.enqueue(&mut ctx, &mut st, i + 1);
-            assert_eq!(q.dequeue(&mut ctx), Some(i + 1));
-        }
-    };
-    run(&heap_r, true);
-    run(&heap_n, false);
-    // The reclaiming run recycles nodes through the allocator's free
-    // lists; we can't read the pool from here, but the non-reclaiming run
-    // must not crash either — its heap is simply sized for the leak. The
-    // assertion of interest: the reclaiming run stays within a small
-    // fraction of the heap. (Allocation beyond capacity panics, so merely
-    // completing is the bound; tighten by using a small heap.)
-    let heap_small = Arc::new(NativeHeap::new(1 << 14)); // 16Ki words only
+/// Runs `lifecycles` enqueue–dequeue pairs on one thread of a fresh
+/// two-slot queue and returns the heap's frontier before and after them.
+fn frontier_growth(reclaim: bool, lifecycles: u64) -> (u64, u64) {
+    let heap = Arc::new(NativeHeap::new());
     let q = {
-        let mut ctx = heap_small.ctx(0);
+        let mut ctx = heap.ctx(0);
         ModularQueue::new(
             &mut ctx,
             SbqBasket::new(2),
             StandardCas,
             QueueConfig {
                 max_threads: 2,
-                reclaim: true,
+                reclaim,
                 poison_on_free: true,
             },
         )
     };
-    let mut ctx = heap_small.ctx(1);
+    let before = heap.high_water();
+    let mut ctx = heap.ctx(1);
     let mut st = EnqueuerState::default();
-    for i in 0..50_000u64 {
+    for i in 0..lifecycles {
         q.enqueue(&mut ctx, &mut st, i + 1);
         assert_eq!(q.dequeue(&mut ctx), Some(i + 1));
     }
-    // 50k node lifecycles through a 16Ki-word heap: impossible without
-    // working reclamation.
+    (before, heap.high_water())
+}
+
+#[test]
+fn reclamation_bounds_memory_growth() {
+    // With reclamation, retired nodes return through the allocator's free
+    // lists and the frontier stays flat however many nodes live and die;
+    // without it, every node costs fresh address space.
+    for lifecycles in [20_000, 50_000] {
+        let (_, after) = frontier_growth(true, lifecycles);
+        assert!(
+            after <= 1_024,
+            "reclaiming run reached word {after} after {lifecycles} lifecycles"
+        );
+    }
+    let (before, after) = frontier_growth(false, 20_000);
+    assert!(
+        after - before >= 8 * 20_000,
+        "non-reclaiming run grew only {} words over 20000 lifecycles",
+        after - before
+    );
 }
 
 #[test]
 fn ms_queue_reclamation_under_stress() {
     const THREADS: usize = 4;
     const PER: u64 = 3_000;
-    let heap = Arc::new(NativeHeap::new(1 << 23));
+    let heap = Arc::new(NativeHeap::new());
     let q = {
         let mut ctx = heap.ctx(0);
         baselines::MsQueue::new(&mut ctx, THREADS, true)
