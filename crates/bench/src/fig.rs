@@ -14,8 +14,8 @@ use crate::workload::{
     numa_workload, paper_workload, run_workload, Measurement, NumaShape, WorkloadKind,
 };
 use absmem::ThreadCtx;
-use coherence::{cycles_to_ns, Machine, MachineConfig, Program, SimCtx, TraceEvent};
-use harness::QueueKind;
+use coherence::{cycles_to_ns, Machine, MachineConfig, Program, RunReport, SimCtx, TraceEvent};
+use harness::{BackendKind, QueueKind};
 use sbq::txcas::{txn_cas, TxCasParams, TxCasStats};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -192,83 +192,74 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Figure 1: TxCAS vs FAA latency
+// Figures 1–3: one contended word
 // ---------------------------------------------------------------------
 
-/// One Figure-1 data point: every thread hammers one shared word.
-fn fig1_point(threads: usize, ops: u64, use_txcas: bool, params: TxCasParams) -> (f64, TxCasStats) {
-    let (ns, stats, _) = fig1_point_on(
-        MachineConfig::single_socket(threads),
-        ops,
-        use_txcas,
-        params,
-    );
-    (ns, stats)
+/// Runs one program per core of `cfg` against one shared word: setup
+/// allocates and zeroes the word, and `program(i, ctx, addr)` runs as
+/// core `i` with its address.
+fn on_shared_word<F>(cfg: MachineConfig, program: F) -> RunReport
+where
+    F: Fn(usize, &mut SimCtx, u64) + Send + Sync + 'static,
+{
+    let shared = Arc::new(AtomicU64::new(0));
+    let program = Arc::new(program);
+    let programs: Vec<Program> = (0..cfg.cores)
+        .map(|i| {
+            let (shared, program) = (Arc::clone(&shared), Arc::clone(&program));
+            Box::new(move |ctx: &mut SimCtx| program(i, ctx, shared.load(SeqCst))) as Program
+        })
+        .collect();
+    Machine::new(cfg).run(
+        Box::new(move |ctx| {
+            let a = ctx.alloc(1);
+            ctx.write(a, 0);
+            shared.store(a, SeqCst);
+        }),
+        programs,
+    )
 }
 
-/// [`fig1_point`] on an explicit machine (the NUMA sweeps pass
-/// multi-socket topologies), additionally returning the run's
-/// (intra, cross) interconnect hop counts.
+/// One Figure-1 data point: every core of `cfg` hammers one shared word
+/// with FAA or TxCAS. Returns the mean latency in ns/op, the TxCAS
+/// outcome counts summed over cores, and the run's report (hop and
+/// tripped-writer counters).
 fn fig1_point_on(
     mut cfg: MachineConfig,
     ops: u64,
     use_txcas: bool,
     params: TxCasParams,
-) -> (f64, TxCasStats, (u64, u64)) {
-    let threads = cfg.cores;
+) -> (f64, TxCasStats, RunReport) {
     cfg.check_invariants = false;
-    let shared = Arc::new(AtomicU64::new(0));
-    let lat: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let stats_all: Arc<Mutex<TxCasStats>> = Arc::new(Mutex::new(TxCasStats::default()));
-    let programs: Vec<Program> = (0..threads)
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let lat = Arc::clone(&lat);
-            let stats_all = Arc::clone(&stats_all);
-            Box::new(move |ctx: &mut SimCtx| {
-                let a = shared.load(SeqCst);
-                ctx.barrier();
-                let mut stats = TxCasStats::default();
-                let t0 = ctx.now();
-                if use_txcas {
-                    for _ in 0..ops {
-                        let old = ctx.read(a);
-                        txn_cas(ctx, &params, a, old, old + 1, &mut stats);
-                    }
-                } else {
-                    for _ in 0..ops {
-                        ctx.faa(a, 1);
-                    }
-                }
-                lat.lock().unwrap().push((ctx.now() - t0, ops));
-                let mut s = stats_all.lock().unwrap();
-                s.success += stats.success;
-                s.fail_self_abort += stats.fail_self_abort;
-                s.fail_post_abort += stats.fail_post_abort;
-                s.retries += stats.retries;
-                s.fallbacks += stats.fallbacks;
-            }) as Program
-        })
-        .collect();
-    let s2 = Arc::clone(&shared);
-    let report = Machine::new(cfg).run(
-        Box::new(move |ctx| {
-            let a = ctx.alloc(1);
-            ctx.write(a, 0);
-            s2.store(a, SeqCst);
-        }),
-        programs,
-    );
-    let lat = lat.lock().unwrap();
-    let total_cycles: u64 = lat.iter().map(|(c, _)| c).sum();
-    let total_ops: u64 = lat.iter().map(|(_, o)| o).sum();
-    let ns = cycles_to_ns(total_cycles) / total_ops as f64;
-    let stats = stats_all.lock().unwrap().clone();
-    (
-        ns,
-        stats,
-        (report.stats.hops_intra, report.stats.hops_cross),
-    )
+    let total_ops = ops * cfg.cores as u64;
+    let sums: Arc<Mutex<(u64, TxCasStats)>> = Arc::default();
+    let out = Arc::clone(&sums);
+    let report = on_shared_word(cfg, move |_, ctx, a| {
+        ctx.barrier();
+        let mut stats = TxCasStats::default();
+        let t0 = ctx.now();
+        if use_txcas {
+            for _ in 0..ops {
+                let old = ctx.read(a);
+                txn_cas(ctx, &params, a, old, old + 1, &mut stats);
+            }
+        } else {
+            for _ in 0..ops {
+                ctx.faa(a, 1);
+            }
+        }
+        let cycles = ctx.now() - t0;
+        let mut out = out.lock().expect("no program panics holding the sums");
+        out.0 += cycles;
+        let s = &mut out.1;
+        s.success += stats.success;
+        s.fail_self_abort += stats.fail_self_abort;
+        s.fail_post_abort += stats.fail_post_abort;
+        s.retries += stats.retries;
+        s.fallbacks += stats.fallbacks;
+    });
+    let (cycles, stats) = sums.lock().expect("the run ended without a panic").clone();
+    (cycles_to_ns(cycles) / total_ops as f64, stats, report)
 }
 
 /// Figure 1 as TSV: TxCAS vs standard FAA latency as contention grows.
@@ -280,8 +271,11 @@ fn fig1_text(ops: u64, threads: &[usize], jobs: usize) -> String {
         .iter()
         .map(|&t| {
             move || {
-                let (faa, _) = fig1_point(t, ops, false, TxCasParams::default());
-                let (tx, _) = fig1_point(t, ops, true, TxCasParams::default());
+                let point = |txcas| {
+                    let cfg = MachineConfig::single_socket(t);
+                    fig1_point_on(cfg, ops, txcas, TxCasParams::default()).0
+                };
+                let (faa, tx) = (point(false), point(true));
                 format!("{t}\t{faa:.1}\t{tx:.1}\n")
             }
         })
@@ -290,11 +284,8 @@ fn fig1_text(ops: u64, threads: &[usize], jobs: usize) -> String {
     s
 }
 
-// ---------------------------------------------------------------------
-// Figures 2 & 3: coherence message dynamics (trace reproductions)
-// ---------------------------------------------------------------------
-
-fn trace_rows(trace: &[TraceEvent], from: u64, limit: usize) -> String {
+/// The first `limit` message and transaction events of `trace` as TSV.
+fn trace_rows(trace: &[TraceEvent], limit: usize) -> String {
     let mut s = header_row(&["t_sent", "t_recv", "src", "dst", "msg", "line/detail"]);
     let mut n = 0;
     for e in trace {
@@ -306,7 +297,7 @@ fn trace_rows(trace: &[TraceEvent], from: u64, limit: usize) -> String {
                 dst,
                 kind,
                 line,
-            } if *sent >= from => {
+            } => {
                 let _ = writeln!(s, "{sent}\t{recv}\t{src}\t{dst}\t{kind}\t{line:#x}");
                 n += 1;
             }
@@ -315,7 +306,7 @@ fn trace_rows(trace: &[TraceEvent], from: u64, limit: usize) -> String {
                 core,
                 what,
                 detail,
-            } if *time >= from => {
+            } => {
                 let _ = writeln!(s, "{time}\t-\tC{core}\t-\t[{what}]\t{detail:#x}");
                 n += 1;
             }
@@ -338,38 +329,22 @@ fn fig2_text(jobs: usize) -> String {
             move || {
                 let mut cfg = MachineConfig::single_socket(3);
                 cfg.trace = true;
-                let shared = Arc::new(AtomicU64::new(0));
-                let programs: Vec<Program> = (0..3)
-                    .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        Box::new(move |ctx: &mut SimCtx| {
-                            let a = shared.load(SeqCst);
-                            // All cores read first (line Shared everywhere)...
-                            let old = ctx.read(a);
-                            ctx.barrier();
-                            // ...then CAS simultaneously.
-                            if htm {
-                                let mut st = TxCasStats::default();
-                                let p = TxCasParams {
-                                    intra_delay: 40,
-                                    ..Default::default()
-                                };
-                                txn_cas(ctx, &p, a, old, i as u64 + 1, &mut st);
-                            } else {
-                                ctx.cas(a, old, i as u64 + 1);
-                            }
-                        }) as Program
-                    })
-                    .collect();
-                let s2 = Arc::clone(&shared);
-                let report = Machine::new(cfg).run(
-                    Box::new(move |ctx| {
-                        let a = ctx.alloc(1);
-                        ctx.write(a, 0);
-                        s2.store(a, SeqCst);
-                    }),
-                    programs,
-                );
+                let report = on_shared_word(cfg, move |i, ctx, a| {
+                    // All cores read first (line Shared everywhere)...
+                    let old = ctx.read(a);
+                    ctx.barrier();
+                    // ...then CAS simultaneously.
+                    if htm {
+                        let mut st = TxCasStats::default();
+                        let p = TxCasParams {
+                            intra_delay: 40,
+                            ..Default::default()
+                        };
+                        txn_cas(ctx, &p, a, old, i as u64 + 1, &mut st);
+                    } else {
+                        ctx.cas(a, old, i as u64 + 1);
+                    }
+                });
                 let mut s = String::new();
                 let _ = writeln!(
                     s,
@@ -381,9 +356,7 @@ fn fig2_text(jobs: usize) -> String {
                         "standard CAS: all operations serialized"
                     }
                 );
-                // Skip the setup/warm-up traffic: find the barrier moment
-                // by the last initial read.
-                s.push_str(&trace_rows(&report.trace, 0, 60));
+                s.push_str(&trace_rows(&report.trace, 60));
                 let _ = writeln!(
                     s,
                     "# commits={} conflict_aborts={}",
@@ -413,51 +386,33 @@ fn fig3_text(jobs: usize) -> String {
                 let mut cfg = MachineConfig::dual_socket(3);
                 cfg.trace = true;
                 cfg.microarch_fix = fix;
-                let shared = Arc::new(AtomicU64::new(0));
-                let programs: Vec<Program> = (0..6)
-                    .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        Box::new(move |ctx: &mut SimCtx| {
-                            let a = shared.load(SeqCst);
-                            match i {
-                                0 => {
-                                    let old = ctx.read(a);
-                                    ctx.barrier();
-                                    let mut st = TxCasStats::default();
-                                    let p = TxCasParams {
-                                        intra_delay: 1,
-                                        ..Default::default()
-                                    };
-                                    txn_cas(ctx, &p, a, old, 7, &mut st);
-                                }
-                                3 => {
-                                    // Far-socket sharer: slow InvAck widens
-                                    // the writer's vulnerable window.
-                                    let _ = ctx.read(a);
-                                    ctx.barrier();
-                                    ctx.delay(4000);
-                                }
-                                1 | 2 => {
-                                    ctx.barrier();
-                                    ctx.delay(80 + 90 * i as u64);
-                                    let _ = ctx.read(a); // the tripping read
-                                }
-                                _ => {
-                                    ctx.barrier();
-                                }
-                            }
-                        }) as Program
-                    })
-                    .collect();
-                let s2 = Arc::clone(&shared);
-                let report = Machine::new(cfg).run(
-                    Box::new(move |ctx| {
-                        let a = ctx.alloc(1);
-                        ctx.write(a, 0);
-                        s2.store(a, SeqCst);
-                    }),
-                    programs,
-                );
+                let report = on_shared_word(cfg, |i, ctx, a| match i {
+                    0 => {
+                        let old = ctx.read(a);
+                        ctx.barrier();
+                        let mut st = TxCasStats::default();
+                        let p = TxCasParams {
+                            intra_delay: 1,
+                            ..Default::default()
+                        };
+                        txn_cas(ctx, &p, a, old, 7, &mut st);
+                    }
+                    3 => {
+                        // Far-socket sharer: slow InvAck widens the
+                        // writer's vulnerable window.
+                        let _ = ctx.read(a);
+                        ctx.barrier();
+                        ctx.delay(4000);
+                    }
+                    1 | 2 => {
+                        ctx.barrier();
+                        ctx.delay(80 + 90 * i as u64);
+                        let _ = ctx.read(a); // the tripping read
+                    }
+                    _ => {
+                        ctx.barrier();
+                    }
+                });
                 let mut s = String::new();
                 let _ = writeln!(
                     s,
@@ -467,7 +422,7 @@ fn fig3_text(jobs: usize) -> String {
                     report.stats.fix_stalls,
                     report.stats.tx_commits
                 );
-                s.push_str(&trace_rows(&report.trace, 0, 50));
+                s.push_str(&trace_rows(&report.trace, 50));
                 s.push('\n');
                 s
             }
@@ -506,7 +461,7 @@ fn queue_figure_text(
                 };
                 let mut row = vec![format!("{t}")];
                 for q in queues {
-                    let m = run_workload(q, &paper_workload(kind, t, ops));
+                    let m = run_workload(q, &paper_workload(kind, t, ops), BackendKind::Sim);
                     row.push(
                         metric(&m)
                             .iter()
@@ -538,8 +493,8 @@ fn speedups_text(ops: u64, t: usize, jobs: usize) -> String {
     .into_iter()
     .map(|(name, kind, threads)| {
         move || {
-            let sbq = run_workload(QueueKind::SbqHtm, &paper_workload(kind, threads, ops));
-            let wf = run_workload(QueueKind::WfQueue, &paper_workload(kind, threads, ops));
+            let run = |q| run_workload(q, &paper_workload(kind, threads, ops), BackendKind::Sim);
+            let (sbq, wf) = (run(QueueKind::SbqHtm), run(QueueKind::WfQueue));
             // For the mixed workload the paper compares durations, so use
             // 1/duration as "throughput".
             let (sv, wv) = match kind {
@@ -605,10 +560,9 @@ fn fig_numa_text(ops: u64, grid: &[(usize, usize)], jobs: usize) -> String {
                     c.cores = threads;
                     c
                 };
-                let (faa, _, (_, faa_cross)) =
-                    fig1_point_on(cfg(), ops, false, TxCasParams::default());
-                let (tx, _, (_, tx_cross)) =
-                    fig1_point_on(cfg(), ops, true, TxCasParams::default());
+                let (faa, _, faa_run) = fig1_point_on(cfg(), ops, false, TxCasParams::default());
+                let (tx, _, tx_run) = fig1_point_on(cfg(), ops, true, TxCasParams::default());
+                let (faa_cross, tx_cross) = (faa_run.stats.hops_cross, tx_run.stats.hops_cross);
                 format!("{sockets}\t{threads}\t{faa:.1}\t{tx:.1}\t{faa_cross}\t{tx_cross}\n")
             }
         })
@@ -637,8 +591,8 @@ fn fig_numa_text(ops: u64, grid: &[(usize, usize)], jobs: usize) -> String {
         .map(|(shape, sockets, threads)| {
             move || {
                 let w = numa_workload(shape, sockets, threads, ops);
-                let htm = run_workload(QueueKind::SbqHtm, &w);
-                let cas = run_workload(QueueKind::SbqCas, &w);
+                let htm = run_workload(QueueKind::SbqHtm, &w, BackendKind::Sim);
+                let cas = run_workload(QueueKind::SbqCas, &w, BackendKind::Sim);
                 format!(
                     "{}\t{sockets}\t{}\t{:.1}\t{:.1}\t{}\t{}\t{}\n",
                     shape.name(),
@@ -679,7 +633,7 @@ fn ablate_delay_text(ops: u64, t: usize, jobs: usize) -> String {
                     intra_delay: delay,
                     ..Default::default()
                 };
-                let (ns, st) = fig1_point(t, ops, true, p);
+                let (ns, st, _) = fig1_point_on(MachineConfig::single_socket(t), ops, true, p);
                 let total = st.success + st.fail_self_abort + st.fail_post_abort + st.fallbacks;
                 format!(
                     "{delay}\t{ns:.1}\t{:.3}\n",
@@ -693,7 +647,8 @@ fn ablate_delay_text(ops: u64, t: usize, jobs: usize) -> String {
 }
 
 /// §3.4.1 ablation as TSV: tripped writers across sockets, with and
-/// without the fix. One job per fix variant.
+/// without the fix — Figure 1's TxCAS point on a dual-socket machine of
+/// 8 cores. One job per fix variant.
 fn ablate_fix_text(ops: u64, jobs: usize) -> String {
     let mut s =
         String::from("# Ablation: cross-socket TxCAS — tripped writers and the microarch fix\n");
@@ -707,50 +662,14 @@ fn ablate_fix_text(ops: u64, jobs: usize) -> String {
         .into_iter()
         .map(|fix| {
             move || {
-                let threads = 8;
-                let mut cfg = MachineConfig::dual_socket(threads / 2);
-                cfg.check_invariants = false;
+                let mut cfg = MachineConfig::dual_socket(4);
                 cfg.microarch_fix = fix;
-                let shared = Arc::new(AtomicU64::new(0));
-                let lat: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-                let stats: Arc<Mutex<TxCasStats>> = Arc::new(Mutex::new(TxCasStats::default()));
-                let programs: Vec<Program> = (0..threads)
-                    .map(|_| {
-                        let shared = Arc::clone(&shared);
-                        let lat = Arc::clone(&lat);
-                        let stats = Arc::clone(&stats);
-                        Box::new(move |ctx: &mut SimCtx| {
-                            let a = shared.load(SeqCst);
-                            ctx.barrier();
-                            let mut st = TxCasStats::default();
-                            let t0 = ctx.now();
-                            for _ in 0..ops {
-                                let old = ctx.read(a);
-                                txn_cas(ctx, &TxCasParams::default(), a, old, old + 1, &mut st);
-                            }
-                            lat.lock().unwrap().push(ctx.now() - t0);
-                            let mut s = stats.lock().unwrap();
-                            s.retries += st.retries;
-                            s.success += st.success;
-                        }) as Program
-                    })
-                    .collect();
-                let s2 = Arc::clone(&shared);
-                let report = Machine::new(cfg).run(
-                    Box::new(move |ctx| {
-                        let a = ctx.alloc(1);
-                        ctx.write(a, 0);
-                        s2.store(a, SeqCst);
-                    }),
-                    programs,
-                );
-                let total: u64 = lat.lock().unwrap().iter().sum();
-                let st = stats.lock().unwrap();
+                let total_ops = (ops * cfg.cores as u64) as f64;
+                let (ns, st, report) = fig1_point_on(cfg, ops, true, TxCasParams::default());
                 format!(
-                    "{fix}\t{:.1}\t{}\t{:.3}\n",
-                    cycles_to_ns(total) / (ops * threads as u64) as f64,
+                    "{fix}\t{ns:.1}\t{}\t{:.3}\n",
                     report.stats.tripped_writers,
-                    st.retries as f64 / (ops * threads as u64) as f64,
+                    st.retries as f64 / total_ops,
                 )
             }
         })
@@ -775,7 +694,7 @@ fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
                 let mut w = paper_workload(WorkloadKind::ProducerOnly, t, ops);
                 w.qp.basket_capacity = cap;
                 w.qp.enqueuers = t;
-                let m = run_workload(QueueKind::SbqHtm, &w);
+                let m = run_workload(QueueKind::SbqHtm, &w, BackendKind::Sim);
                 format!("{cap}\t{:.1}\t{:.3}\n", m.latency_ns, m.throughput_mops)
             }
         })
@@ -793,7 +712,7 @@ fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
                 let mut w = paper_workload(WorkloadKind::ProducerOnly, threads, ops);
                 w.qp.basket_capacity = 44;
                 w.qp.enqueuers = threads;
-                let m = run_workload(QueueKind::SbqHtm, &w);
+                let m = run_workload(QueueKind::SbqHtm, &w, BackendKind::Sim);
                 format!("{threads}\t{:.1}\n", m.latency_ns)
             }
         })
@@ -807,8 +726,6 @@ fn ablate_basket_text(ops: u64, t: usize, jobs: usize) -> String {
 /// consumer-only workload, where the FAA is the bottleneck (§5.3.4).
 /// One job per thread count.
 fn ablate_deq_text(ops: u64, threads: &[usize], jobs: usize) -> String {
-    use crate::workload::run_generic;
-    use harness::{SbqHtmQ, SbqStripedQ};
     let mut s = String::from(
         "# Ablation (§8 future work): dequeue-side basket design, consumer-only workload\n",
     );
@@ -822,8 +739,8 @@ fn ablate_deq_text(ops: u64, threads: &[usize], jobs: usize) -> String {
         .map(|&t| {
             move || {
                 let w = paper_workload(WorkloadKind::ConsumerOnly, t, ops);
-                let a = run_generic::<SbqHtmQ<SimCtx>>(&w);
-                let b = run_generic::<SbqStripedQ<SimCtx>>(&w);
+                let a = run_workload(QueueKind::SbqHtm, &w, BackendKind::Sim);
+                let b = run_workload(QueueKind::SbqStriped, &w, BackendKind::Sim);
                 format!("{t}\t{:.1}\t{:.1}\n", a.latency_ns, b.latency_ns)
             }
         })

@@ -16,7 +16,7 @@ use harness::{
     Backend, BackendKind, BackendReport, Job, NativeBackend, QueueAdapter, QueueKind, QueueParams,
     QueueVisitor, SimBackend, Substrate,
 };
-use obs::{Histogram, InstantKind, ObsSink, SpanKind, TraceMeta};
+use obs::{Histogram, InstantKind, ObsSink, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
@@ -65,11 +65,9 @@ pub struct Measurement {
     /// simulator only; zero on native).
     pub tx_commits: u64,
     pub tx_aborts: u64,
-    /// Aborts caused by an interrupt/preemption component and total
-    /// interrupts it delivered (zero on native and in component-free
-    /// simulator configs).
+    /// Aborts caused by an interrupt/preemption component (zero on
+    /// native and in component-free simulator configs).
     pub tx_aborts_interrupt: u64,
-    pub interrupts_fired: u64,
     pub tripped_writers: u64,
     /// Per-op latency distribution of the measured phase, ns: median,
     /// tail, and exact worst case from the merged per-thread histograms
@@ -97,210 +95,198 @@ struct ThreadOut {
     hist: Histogram,
 }
 
-/// Runs `w` with queue type `Q` on `backend` and returns the data point.
-/// Both clocks tick in cycles at the nominal 2.2 GHz (simulated cycles
-/// vs. wall-clock-derived), so the ns conversions below hold on either
-/// backend.
-pub fn run_on<B, Q>(backend: &mut B, w: &Workload) -> Measurement
-where
-    B: Backend,
-    Q: QueueAdapter<B::Ctx> + 'static,
-{
-    run_on_obs::<B, Q>(backend, w, None).0
-}
-
-/// [`run_on`], optionally emitting typed spans into an [`ObsSink`] and
-/// returning the backend report (whose simulator trace the Chrome
-/// exporter bridges). Span recording reuses the `ctx.now()` reads the
-/// latency accounting already performs, so attaching a sink cannot
-/// perturb simulated timing.
-pub fn run_on_obs<B, Q>(
-    backend: &mut B,
-    w: &Workload,
-    obs: Option<&Arc<ObsSink>>,
-) -> (Measurement, BackendReport)
-where
-    B: Backend,
-    Q: QueueAdapter<B::Ctx> + 'static,
-{
-    let base = Arc::new(AtomicU64::new(0));
-    let outs: Arc<Mutex<Vec<ThreadOut>>> = Arc::new(Mutex::new(Vec::new()));
-    let nthreads = w.producers + w.consumers;
-
-    let mut programs: Vec<Job<B::Ctx>> = Vec::with_capacity(nthreads);
-    for i in 0..nthreads {
-        let is_producer = i < w.producers;
-        let base = Arc::clone(&base);
-        let outs = Arc::clone(&outs);
-        let sink = obs.cloned();
-        let w2 = w.clone();
-        programs.push(Box::new(move |ctx: &mut B::Ctx| {
-            let mut q = Q::attach(base.load(SeqCst), ctx, &w2.qp);
-            let tid = ctx.thread_id() as u64;
-            let mut tobs = sink.as_ref().map(|s| s.thread(tid as usize));
-            let mut seq = 0u64;
-            let mut next_val = || {
-                seq += 1;
-                (tid << 40) | seq
-            };
-            // Phase 1: pre-fill (producers only).
-            if is_producer {
-                let prefill = match w2.kind {
-                    WorkloadKind::ProducerOnly => 0,
-                    _ => w2.prefill_per_producer,
-                };
-                for _ in 0..prefill {
-                    let v = next_val();
-                    let t0 = ctx.now();
-                    q.enqueue(ctx, v);
-                    if let Some(o) = &mut tobs {
-                        o.span(SpanKind::Enqueue, t0, ctx.now(), v);
-                    }
-                }
-            }
-            ctx.barrier();
-            if let Some(o) = &mut tobs {
-                o.instant(InstantKind::Barrier, ctx.now(), 0);
-            }
-            // Phase 2: the measured operations.
-            let start = ctx.now();
-            let mut lat_sum = 0u64;
-            let mut ops = 0u64;
-            let mut hist = Histogram::new();
-            match (w2.kind, is_producer) {
-                (WorkloadKind::ProducerOnly, true) | (WorkloadKind::Mixed, true) => {
-                    for _ in 0..w2.ops_per_thread {
-                        let v = next_val();
-                        let t0 = ctx.now();
-                        q.enqueue(ctx, v);
-                        let t1 = ctx.now();
-                        lat_sum += t1 - t0;
-                        hist.record(t1 - t0);
-                        ops += 1;
-                        if let Some(o) = &mut tobs {
-                            o.span(SpanKind::Enqueue, t0, t1, v);
-                        }
-                    }
-                }
-                (WorkloadKind::ConsumerOnly, _) | (WorkloadKind::Mixed, false) => {
-                    let mut done = 0u64;
-                    while done < w2.ops_per_thread {
-                        let t0 = ctx.now();
-                        let r = q.dequeue(ctx);
-                        let t1 = ctx.now();
-                        lat_sum += t1 - t0;
-                        hist.record(t1 - t0);
-                        ops += 1;
-                        if let Some(o) = &mut tobs {
-                            match r {
-                                Some(v) => o.span(SpanKind::Dequeue, t0, t1, v),
-                                None => o.span(SpanKind::DequeueEmpty, t0, t1, 0),
-                            }
-                        }
-                        if r.is_some() {
-                            done += 1;
-                        }
-                    }
-                }
-                (WorkloadKind::ProducerOnly, false) => unreachable!("no consumers here"),
-            }
-            let end = ctx.now();
-            if let (Some(s), Some(o)) = (&sink, tobs.take()) {
-                s.submit(o);
-            }
-            outs.lock().unwrap().push(ThreadOut {
-                lat_sum,
-                ops,
-                start,
-                end,
-                hist,
-            });
-        }));
-    }
-
-    let b2 = Arc::clone(&base);
-    let qp = w.qp;
-    let report = backend.run(
-        Box::new(move |ctx| {
-            let addr = Q::create(ctx, &qp);
-            b2.store(addr, SeqCst);
-        }),
-        programs,
-    );
-
-    let outs = outs.lock().unwrap();
-    let total_ops: u64 = outs.iter().map(|o| o.ops).sum();
-    let lat_sum: u64 = outs.iter().map(|o| o.lat_sum).sum();
-    let t_start = outs.iter().map(|o| o.start).min().unwrap();
-    let t_end = outs.iter().map(|o| o.end).max().unwrap();
-    let duration = (t_end - t_start).max(1);
-    let mut hist = Histogram::new();
-    for o in outs.iter() {
-        hist.merge(&o.hist);
-    }
-    let m = Measurement {
-        queue: Q::NAME,
-        threads: nthreads,
-        latency_ns: coherence::cycles_to_ns(lat_sum) / total_ops as f64,
-        throughput_mops: total_ops as f64 / coherence::cycles_to_ns(duration) * 1e3,
-        duration_ns_per_op: coherence::cycles_to_ns(duration) / total_ops as f64,
-        tx_commits: report.tx_commits(),
-        tx_aborts: report.tx_aborts(),
-        tx_aborts_interrupt: report
-            .sim
-            .as_ref()
-            .map_or(0, |r| r.stats.tx_aborts_interrupt),
-        interrupts_fired: report.sim.as_ref().map_or(0, |r| r.stats.interrupts_fired),
-        tripped_writers: report.tripped_writers(),
-        p50_ns: coherence::cycles_to_ns(hist.p50()),
-        p99_ns: coherence::cycles_to_ns(hist.p99()),
-        max_ns: coherence::cycles_to_ns(hist.max()),
-        hops_intra: report.sim.as_ref().map_or(0, |r| r.stats.hops_intra),
-        hops_cross: report.sim.as_ref().map_or(0, |r| r.stats.hops_cross),
-        dir_hops_cross: report.sim.as_ref().map_or(0, |r| r.stats.dir_hops_cross),
-    };
-    (m, report)
-}
-
-struct WorkloadDriver<'a, B: Backend> {
+/// One closed-loop run of `w` with queue type `Q` on `backend`,
+/// optionally emitting typed spans into `obs`. Span recording reuses the
+/// `ctx.now()` reads the latency accounting already performs, so
+/// attaching a sink cannot perturb simulated timing. Both clocks tick in
+/// cycles at the nominal 2.2 GHz (simulated cycles vs. wall-clock-derived),
+/// so the ns conversions hold on either backend.
+struct ClosedLoop<'a, B> {
     backend: &'a mut B,
     w: &'a Workload,
+    obs: Option<&'a Arc<ObsSink>>,
 }
 
-impl<B> QueueVisitor<B::Ctx> for WorkloadDriver<'_, B>
+impl<B> QueueVisitor<B::Ctx> for ClosedLoop<'_, B>
 where
     B: Backend,
     B::Ctx: Substrate,
 {
-    type Out = Measurement;
+    type Out = (Measurement, BackendReport);
 
-    fn visit<Q: QueueAdapter<B::Ctx> + 'static>(self) -> Measurement {
-        run_on::<B, Q>(self.backend, self.w)
+    fn visit<Q: QueueAdapter<B::Ctx> + 'static>(self) -> (Measurement, BackendReport) {
+        let w = self.w;
+        let base = Arc::new(AtomicU64::new(0));
+        let outs: Arc<Mutex<Vec<ThreadOut>>> = Arc::new(Mutex::new(Vec::new()));
+        let nthreads = w.producers + w.consumers;
+
+        let mut programs: Vec<Job<B::Ctx>> = Vec::with_capacity(nthreads);
+        for i in 0..nthreads {
+            let is_producer = i < w.producers;
+            let base = Arc::clone(&base);
+            let outs = Arc::clone(&outs);
+            let sink = self.obs.cloned();
+            let w2 = w.clone();
+            programs.push(Box::new(move |ctx: &mut B::Ctx| {
+                let mut q = Q::attach(base.load(SeqCst), ctx, &w2.qp);
+                let tid = ctx.thread_id() as u64;
+                let mut tobs = sink.as_ref().map(|s| s.thread(tid as usize));
+                let mut seq = 0u64;
+                let mut next_val = || {
+                    seq += 1;
+                    (tid << 40) | seq
+                };
+                // Phase 1: pre-fill (producers only).
+                if is_producer {
+                    let prefill = match w2.kind {
+                        WorkloadKind::ProducerOnly => 0,
+                        _ => w2.prefill_per_producer,
+                    };
+                    for _ in 0..prefill {
+                        let v = next_val();
+                        let t0 = ctx.now();
+                        q.enqueue(ctx, v);
+                        if let Some(o) = &mut tobs {
+                            o.span(SpanKind::Enqueue, t0, ctx.now(), v);
+                        }
+                    }
+                }
+                ctx.barrier();
+                if let Some(o) = &mut tobs {
+                    o.instant(InstantKind::Barrier, ctx.now(), 0);
+                }
+                // Phase 2: the measured operations.
+                let start = ctx.now();
+                let mut lat_sum = 0u64;
+                let mut ops = 0u64;
+                let mut hist = Histogram::new();
+                match (w2.kind, is_producer) {
+                    (WorkloadKind::ProducerOnly, true) | (WorkloadKind::Mixed, true) => {
+                        for _ in 0..w2.ops_per_thread {
+                            let v = next_val();
+                            let t0 = ctx.now();
+                            q.enqueue(ctx, v);
+                            let t1 = ctx.now();
+                            lat_sum += t1 - t0;
+                            hist.record(t1 - t0);
+                            ops += 1;
+                            if let Some(o) = &mut tobs {
+                                o.span(SpanKind::Enqueue, t0, t1, v);
+                            }
+                        }
+                    }
+                    (WorkloadKind::ConsumerOnly, _) | (WorkloadKind::Mixed, false) => {
+                        let mut done = 0u64;
+                        while done < w2.ops_per_thread {
+                            let t0 = ctx.now();
+                            let r = q.dequeue(ctx);
+                            let t1 = ctx.now();
+                            lat_sum += t1 - t0;
+                            hist.record(t1 - t0);
+                            ops += 1;
+                            if let Some(o) = &mut tobs {
+                                match r {
+                                    Some(v) => o.span(SpanKind::Dequeue, t0, t1, v),
+                                    None => o.span(SpanKind::DequeueEmpty, t0, t1, 0),
+                                }
+                            }
+                            if r.is_some() {
+                                done += 1;
+                            }
+                        }
+                    }
+                    (WorkloadKind::ProducerOnly, false) => unreachable!("no consumers here"),
+                }
+                let end = ctx.now();
+                if let (Some(s), Some(o)) = (&sink, tobs.take()) {
+                    s.submit(o);
+                }
+                outs.lock()
+                    .expect("no program panics holding the outputs")
+                    .push(ThreadOut {
+                        lat_sum,
+                        ops,
+                        start,
+                        end,
+                        hist,
+                    });
+            }));
+        }
+
+        let b2 = Arc::clone(&base);
+        let qp = w.qp;
+        let report = self.backend.run(
+            Box::new(move |ctx| {
+                let addr = Q::create(ctx, &qp);
+                b2.store(addr, SeqCst);
+            }),
+            programs,
+        );
+
+        let outs = outs.lock().expect("the run ended without a panic");
+        let total_ops: u64 = outs.iter().map(|o| o.ops).sum();
+        let lat_sum: u64 = outs.iter().map(|o| o.lat_sum).sum();
+        let t_start = outs.iter().map(|o| o.start).min().unwrap();
+        let t_end = outs.iter().map(|o| o.end).max().unwrap();
+        let duration = (t_end - t_start).max(1);
+        let mut hist = Histogram::new();
+        for o in outs.iter() {
+            hist.merge(&o.hist);
+        }
+        let sim = |f: fn(&coherence::Stats) -> u64| report.sim.as_ref().map_or(0, |r| f(&r.stats));
+        let m = Measurement {
+            queue: Q::NAME,
+            threads: nthreads,
+            latency_ns: coherence::cycles_to_ns(lat_sum) / total_ops as f64,
+            throughput_mops: total_ops as f64 / coherence::cycles_to_ns(duration) * 1e3,
+            duration_ns_per_op: coherence::cycles_to_ns(duration) / total_ops as f64,
+            tx_commits: report.tx_commits(),
+            tx_aborts: report.tx_aborts(),
+            tx_aborts_interrupt: sim(|s| s.tx_aborts_interrupt),
+            tripped_writers: report.tripped_writers(),
+            p50_ns: coherence::cycles_to_ns(hist.p50()),
+            p99_ns: coherence::cycles_to_ns(hist.p99()),
+            max_ns: coherence::cycles_to_ns(hist.max()),
+            hops_intra: sim(|s| s.hops_intra),
+            hops_cross: sim(|s| s.hops_cross),
+            dir_hops_cross: sim(|s| s.dir_hops_cross),
+        };
+        (m, report)
     }
 }
 
-/// Runs `w` on the simulator, dispatching on the queue kind — the
-/// figures' entry point.
-pub fn run_workload(kind: QueueKind, w: &Workload) -> Measurement {
-    let nthreads = w.producers + w.consumers;
-    assert!(
-        nthreads <= w.machine.cores,
-        "workload exceeds machine cores"
-    );
-    let mut backend = SimBackend::new(w.machine.clone());
-    kind.visit::<coherence::SimCtx, _>(WorkloadDriver {
-        backend: &mut backend,
-        w,
-    })
+/// Runs `w` with queue `kind` on `backend` — the one dispatch over both.
+/// With a sink attached, the simulator also records its coherence/HTM
+/// trace.
+fn drive(
+    kind: QueueKind,
+    w: &Workload,
+    backend: BackendKind,
+    obs: Option<&Arc<ObsSink>>,
+) -> (Measurement, BackendReport) {
+    match backend {
+        BackendKind::Sim => {
+            assert!(
+                w.producers + w.consumers <= w.machine.cores,
+                "workload exceeds machine cores"
+            );
+            let mut cfg = w.machine.clone();
+            cfg.trace |= obs.is_some();
+            let backend = &mut SimBackend::new(cfg);
+            kind.visit::<coherence::SimCtx, _>(ClosedLoop { backend, w, obs })
+        }
+        BackendKind::Native => {
+            let backend = &mut NativeBackend;
+            kind.visit::<absmem::native::NativeCtx, _>(ClosedLoop { backend, w, obs })
+        }
+    }
 }
 
-/// Runs `w` on native atomics (real OS threads, wall-clock time).
-pub fn run_workload_native(kind: QueueKind, w: &Workload) -> Measurement {
-    let mut backend = NativeBackend;
-    kind.visit::<absmem::native::NativeCtx, _>(WorkloadDriver {
-        backend: &mut backend,
-        w,
-    })
+/// Runs `w` with queue `kind` on `backend` and returns the data point:
+/// simulated time on the simulator (the figures), wall-clock time on
+/// native atomics (real OS threads).
+pub fn run_workload(kind: QueueKind, w: &Workload, backend: BackendKind) -> Measurement {
+    drive(kind, w, backend, None).0
 }
 
 /// One traced run: the data point plus the Chrome trace-event JSON
@@ -314,24 +300,6 @@ pub struct TracedRun {
     pub tsv: String,
 }
 
-struct TraceDriver<'a, B: Backend> {
-    backend: &'a mut B,
-    w: &'a Workload,
-    sink: &'a Arc<ObsSink>,
-}
-
-impl<B> QueueVisitor<B::Ctx> for TraceDriver<'_, B>
-where
-    B: Backend,
-    B::Ctx: Substrate,
-{
-    type Out = (Measurement, BackendReport);
-
-    fn visit<Q: QueueAdapter<B::Ctx> + 'static>(self) -> (Measurement, BackendReport) {
-        run_on_obs::<B, Q>(self.backend, self.w, Some(self.sink))
-    }
-}
-
 /// Runs `w` once with observability attached and exports the run as a
 /// Chrome trace. On the simulator the machine's coherence/HTM trace is
 /// switched on and bridged onto the Dir track, and the document is a
@@ -339,73 +307,17 @@ where
 /// only the per-thread op spans exist and timings are wall-clock.
 pub fn trace_workload(kind: QueueKind, w: &Workload, backend: BackendKind) -> TracedRun {
     let sink = Arc::new(ObsSink::default());
-    let (measurement, report) = match backend {
-        BackendKind::Sim => {
-            let nthreads = w.producers + w.consumers;
-            assert!(
-                nthreads <= w.machine.cores,
-                "workload exceeds machine cores"
-            );
-            let mut cfg = w.machine.clone();
-            cfg.trace = true;
-            let mut b = SimBackend::new(cfg);
-            kind.visit::<coherence::SimCtx, _>(TraceDriver {
-                backend: &mut b,
-                w,
-                sink: &sink,
-            })
-        }
-        BackendKind::Native => {
-            let mut b = NativeBackend;
-            kind.visit::<absmem::native::NativeCtx, _>(TraceDriver {
-                backend: &mut b,
-                w,
-                sink: &sink,
-            })
-        }
-    };
-    let (sim_trace, fastpath, hops) = match report.sim {
-        Some(r) => (
-            r.trace,
-            Some((r.stats.fastpath_hits, r.stats.fastpath_fallbacks)),
-            Some((r.stats.hops_intra, r.stats.hops_cross)),
-        ),
-        None => (Vec::new(), None, None),
-    };
+    let (measurement, report) = drive(kind, w, backend, Some(&sink));
     let logs = sink.take_logs();
-    let meta = TraceMeta {
-        backend: backend.name(),
-        label: format!(
-            "{} {:?} {}p+{}c",
-            measurement.queue, w.kind, w.producers, w.consumers
-        ),
-        fastpath,
-        hops,
-    };
+    let label = format!(
+        "{} {:?} {}p+{}c",
+        measurement.queue, w.kind, w.producers, w.consumers
+    );
     TracedRun {
-        chrome_json: obs::export(&logs, &sim_trace, &meta),
+        chrome_json: obs::export(&logs, report.sim.as_ref(), backend.name(), &label),
         tsv: obs::export_tsv(&logs),
         measurement,
     }
-}
-
-/// A closed-loop reference point for the open-loop load layer's sanity
-/// checks: `threads` producers enqueue `ops` each as fast as the queue
-/// lets them, machine jitter off so the run is deterministic. At zero
-/// overload an open-loop source's enqueue-op latency should sit near
-/// this run's `p50_ns` — the queue cannot tell paced arrivals from a
-/// momentarily idle closed loop.
-pub fn closed_loop_reference(kind: QueueKind, threads: usize, ops: u64) -> Measurement {
-    let mut w = paper_workload(WorkloadKind::ProducerOnly, threads, ops);
-    w.machine.delay_jitter_pct = 0;
-    run_workload(kind, &w)
-}
-
-/// Runs `w` on the simulator with a statically chosen queue type (for
-/// ablation drivers comparing non-[`QueueKind`] variants).
-pub fn run_generic<Q: QueueAdapter<coherence::SimCtx> + 'static>(w: &Workload) -> Measurement {
-    let mut backend = SimBackend::new(w.machine.clone());
-    run_on::<SimBackend, Q>(&mut backend, w)
 }
 
 /// Builds the workload for one paper figure data point.

@@ -14,10 +14,11 @@
 //!   empty bit.
 //! * [`modular`] — the modular baskets queue (§5.2, Algorithms 2–7):
 //!   a linked list of basket nodes with pluggable basket and CAS strategy,
-//!   plus the paper's epoch-based memory reclamation.
-//! * [`queue`] — the assembled variants: SBQ-HTM (TxCAS append; runs on
-//!   the simulated HTM substrate) and SBQ-CAS (delayed-CAS append; runs
-//!   anywhere).
+//!   plus the paper's epoch-based memory reclamation. The paper's two
+//!   variants are `ModularQueue<SbqBasket, TxCas>` (SBQ-HTM; needs an
+//!   HTM-capable backend, here the simulator) and
+//!   `ModularQueue<SbqBasket, DelayedCas>` (SBQ-CAS; runs anywhere); the
+//!   harness crate's queue adapters assemble both.
 //! * [`native`] — a production-usable typed MPMC queue `Sbq<T>` over real
 //!   atomics (SBQ-CAS strategy; see that module for why native TxCAS is
 //!   not available).
@@ -30,7 +31,6 @@ pub mod basket;
 pub mod basket_striped;
 pub mod modular;
 pub mod native;
-pub mod queue;
 pub mod reclaim_hp;
 pub mod txcas;
 
@@ -38,6 +38,5 @@ pub use basket::{Basket, SbqBasket, ELEM_MAX, NULL_ELEM};
 pub use basket_striped::StripedBasket;
 pub use modular::{AppendStatus, EnqueuerState, ModularQueue, QueueConfig, SingleBasket};
 pub use native::{Sbq, SbqHandle};
-pub use queue::{SbqCasQueue, SbqHtmQueue};
 pub use reclaim_hp::{HazardDomain, RetireList};
 pub use txcas::{txn_cas, TxCas, TxCasParams, TxCasStats};

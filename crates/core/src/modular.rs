@@ -453,6 +453,32 @@ mod tests {
         assert_eq!(q.dequeue(&mut ctx), None);
     }
 
+    /// SBQ-CAS — the scalable basket with the delayed-CAS append — keeps
+    /// FIFO order on the native heap.
+    #[test]
+    fn sbq_cas_fifo_on_native_backend() {
+        let heap = Arc::new(NativeHeap::new());
+        let mut ctx = heap.ctx(0);
+        let q = ModularQueue::new(
+            &mut ctx,
+            SbqBasket::with_inserters(8, 8),
+            absmem::DelayedCas { delay_cycles: 10 },
+            QueueConfig {
+                max_threads: 8,
+                reclaim: true,
+                poison_on_free: true,
+            },
+        );
+        let mut st = EnqueuerState::default();
+        for i in 1..=50u64 {
+            q.enqueue(&mut ctx, &mut st, i);
+        }
+        for i in 1..=50u64 {
+            assert_eq!(q.dequeue(&mut ctx), Some(i));
+        }
+        assert_eq!(q.dequeue(&mut ctx), None);
+    }
+
     #[test]
     fn empty_queue_dequeues_none() {
         let heap = Arc::new(NativeHeap::new());

@@ -26,7 +26,7 @@ use crate::history::{
 use crate::queues::{QueueKind, QueueParams};
 use coherence::{ComponentSpec, MachineConfig, RunReport};
 use linearize::{check_queue_linearizable, Op, Violation};
-use obs::{ObsSink, TraceMeta};
+use obs::ObsSink;
 use std::sync::Arc;
 
 /// The three component-actor families a scenario can stage.
@@ -266,18 +266,13 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
     );
 
     let chrome_json = sink.map(|sink| {
-        let meta = TraceMeta {
-            backend: "sim",
-            label: format!(
-                "scenario {} {} ({} workers)",
-                spec.family.name(),
-                spec.queue.name(),
-                spec.workers
-            ),
-            fastpath: Some((s.fastpath_hits, s.fastpath_fallbacks)),
-            hops: Some((s.hops_intra, s.hops_cross)),
-        };
-        obs::export(&sink.take_logs(), &report.trace, &meta)
+        let label = format!(
+            "scenario {} {} ({} workers)",
+            spec.family.name(),
+            spec.queue.name(),
+            spec.workers
+        );
+        obs::export(&sink.take_logs(), Some(&report), "sim", &label)
     });
 
     ScenarioOutcome {

@@ -3,7 +3,7 @@
 //! `chrome://tracing`.
 //!
 //! One track per core/thread carries the per-op spans recorded through
-//! [`crate::ObsSink`]; when a simulator message trace is supplied, a
+//! [`crate::ObsSink`]; when the run's simulator report is supplied, a
 //! **Dir** track carries the directory side of every coherence message
 //! and the core tracks gain the per-core message endpoints, HTM
 //! transaction lifecycle marks (with RTM-style abort status words), and
@@ -23,29 +23,9 @@
 use crate::event::ObsEvent;
 use crate::json::{self, Value};
 use crate::ring::ThreadLog;
-use coherence::TraceEvent;
+use coherence::{RunReport, TraceEvent};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// Export-time description of the run.
-#[derive(Debug, Clone)]
-pub struct TraceMeta {
-    /// Backend name ("sim" / "native"); also decides thread-track naming
-    /// (`C<n>` for simulated cores, `T<n>` for OS threads).
-    pub backend: &'static str,
-    /// Free-form label shown as the process name ("SBQ-HTM producer 4").
-    pub label: String,
-    /// Simulator fast-path totals `(hits, fallbacks)`, rendered as a
-    /// Chrome counter event on the Dir track so the admission rate sits
-    /// next to the coherence traffic it avoided. `None` for backends
-    /// without a fast path (native, runner).
-    pub fastpath: Option<(u64, u64)>,
-    /// Simulator interconnect hop totals `(intra, cross)`, rendered as a
-    /// second Dir-track counter: how much of the coherence traffic shown
-    /// on the tracks stayed on-socket vs. crossed the interconnect.
-    /// `None` on native, where there is no simulated topology.
-    pub hops: Option<(u64, u64)>,
-}
 
 /// The Dir track id; core/thread `n` maps to track `n + 1`.
 const DIR_TRACK: u64 = 0;
@@ -102,9 +82,18 @@ fn node_track(node: &str) -> Option<u64> {
         .map(|n| n + 1)
 }
 
-/// Renders the ring logs plus an optional simulator message trace as one
-/// Chrome trace-event JSON document.
-pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) -> String {
+/// Renders the ring logs as one Chrome trace-event JSON document.
+/// `backend` names the backend ("sim", "native", "runner") and decides
+/// thread-track naming (`C<n>` for simulated cores, `T<n>` for OS
+/// threads); `label` is shown as the process name ("SBQ-HTM producer 4").
+///
+/// `run` is the simulator's report of the run, `None` where there is no
+/// simulated machine (native, runner). From it come the bridged message
+/// trace and two counter samples on the Dir track: the fast-path totals
+/// (hits, fallbacks), next to the coherence traffic they avoided, and the
+/// interconnect hop totals (intra, cross), the on-socket vs. cross-socket
+/// split of the messages shown on the tracks.
+pub fn export(logs: &[ThreadLog], run: Option<&RunReport>, backend: &str, label: &str) -> String {
     let mut entries: Vec<Entry> = Vec::new();
     let mut rank = 0usize;
     let mut push = |entries: &mut Vec<Entry>, ts: u64, track: u64, json: String| {
@@ -150,7 +139,7 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
     // component-spine actions.
     let mut have_dir = false;
     let mut comp_tracks: std::collections::BTreeMap<u64, String> = Default::default();
-    for e in sim_trace {
+    for e in run.map_or(&[][..], |r| &r.trace) {
         match e {
             TraceEvent::Msg {
                 sent,
@@ -219,21 +208,17 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
         }
     }
 
-    // Fast-path totals as a counter sample on the Dir track: the two
-    // series plot as stacked bars next to the message instants whose
-    // absence they explain.
-    if let Some((hits, fallbacks)) = meta.fastpath {
+    // Fast-path and hop totals as counter samples on the Dir track: each
+    // pair plots as stacked bars next to the message instants.
+    if let Some(r) = run {
         have_dir = true;
+        let s = &r.stats;
+        let (hits, fallbacks) = (s.fastpath_hits, s.fastpath_fallbacks);
         let json = format!(
             "{{\"name\":\"fastpath\",\"cat\":\"coherence\",\"ph\":\"C\",\"ts\":0,\"pid\":0,\"tid\":{DIR_TRACK},\"args\":{{\"hits\":{hits},\"fallbacks\":{fallbacks}}}}}"
         );
         push(&mut entries, 0, DIR_TRACK, json);
-    }
-
-    // Interconnect hop totals as a second Dir-track counter: the
-    // intra/cross split of the messages plotted above it.
-    if let Some((intra, cross)) = meta.hops {
-        have_dir = true;
+        let (intra, cross) = (s.hops_intra, s.hops_cross);
         let json = format!(
             "{{\"name\":\"hops\",\"cat\":\"coherence\",\"ph\":\"C\",\"ts\":0,\"pid\":0,\"tid\":{DIR_TRACK},\"args\":{{\"intra\":{intra},\"cross\":{cross}}}}}"
         );
@@ -247,7 +232,7 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
     let _ = writeln!(
         out,
         "\"otherData\":{{\"tool\":\"sbq-obs\",\"version\":\"1\",\"clock\":\"cycles\",\"backend\":\"{}\",\"dropped\":{dropped}}},",
-        esc(meta.backend)
+        esc(backend)
     );
     out.push_str("\"traceEvents\":[\n");
     let mut first = true;
@@ -263,7 +248,7 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
         &mut out,
         format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-            esc(&meta.label)
+            esc(label)
         ),
     );
     if have_dir {
@@ -274,7 +259,7 @@ pub fn export(logs: &[ThreadLog], sim_trace: &[TraceEvent], meta: &TraceMeta) ->
             ),
         );
     }
-    let core_prefix = if meta.backend == "sim" { "C" } else { "T" };
+    let core_prefix = if backend == "sim" { "C" } else { "T" };
     for t in &tracks {
         if *t == DIR_TRACK {
             continue;
@@ -450,18 +435,20 @@ mod tests {
         ]
     }
 
-    fn meta() -> TraceMeta {
-        TraceMeta {
-            backend: "sim",
-            label: "unit test".to_string(),
-            fastpath: None,
-            hops: None,
+    /// A simulator report carrying `trace` and otherwise empty counters.
+    fn sample_run(trace: Vec<TraceEvent>) -> RunReport {
+        RunReport {
+            end_time: 0,
+            core_end: Vec::new(),
+            stats: coherence::Stats::default(),
+            trace,
         }
     }
 
     #[test]
     fn export_validates_and_carries_all_pieces() {
-        let json = export(&sample_logs(), &sample_sim_trace(), &meta());
+        let run = sample_run(sample_sim_trace());
+        let json = export(&sample_logs(), Some(&run), "sim", "unit test");
         let sum = validate(&json).expect("exporter output must validate");
         assert_eq!(sum.spans, 2);
         assert!(sum.instants >= 3, "barrier + msg endpoints + tx: {sum:?}");
@@ -478,43 +465,39 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_counter_lands_on_dir_track() {
-        let mut m = meta();
-        m.fastpath = Some((12, 3));
-        let json = export(&sample_logs(), &[], &m);
-        let sum = validate(&json).expect("counter event must validate");
-        assert_eq!(sum.counters, 1);
+    fn run_counters_land_on_dir_track() {
+        let mut run = sample_run(Vec::new());
+        run.stats.fastpath_hits = 12;
+        run.stats.fastpath_fallbacks = 3;
+        run.stats.hops_intra = 400;
+        run.stats.hops_cross = 70;
+        let json = export(&sample_logs(), Some(&run), "sim", "unit test");
+        let sum = validate(&json).expect("counter events must validate");
+        assert_eq!(sum.counters, 2);
         assert!(sum.tracks.contains(&DIR_TRACK));
         assert!(json.contains("\"hits\":12"));
         assert!(json.contains("\"fallbacks\":3"));
+        assert!(json.contains("\"intra\":400"));
+        assert!(json.contains("\"cross\":70"));
         assert!(json.contains("\"name\":\"Dir\""));
     }
 
     #[test]
-    fn hops_counter_lands_on_dir_track() {
-        let mut m = meta();
-        m.hops = Some((400, 70));
-        let json = export(&sample_logs(), &[], &m);
-        let sum = validate(&json).expect("counter event must validate");
-        assert_eq!(sum.counters, 1);
-        assert!(sum.tracks.contains(&DIR_TRACK));
-        assert!(json.contains("\"intra\":400"));
-        assert!(json.contains("\"cross\":70"));
-    }
-
-    #[test]
     fn export_is_deterministic_for_equal_inputs() {
-        let a = export(&sample_logs(), &sample_sim_trace(), &meta());
-        let b = export(&sample_logs(), &sample_sim_trace(), &meta());
+        let run = sample_run(sample_sim_trace());
+        let a = export(&sample_logs(), Some(&run), "sim", "unit test");
+        let b = export(&sample_logs(), Some(&run), "sim", "unit test");
         assert_eq!(a, b);
     }
 
     #[test]
-    fn export_without_sim_trace_has_no_dir_track() {
-        let json = export(&sample_logs(), &[], &meta());
+    fn export_without_a_run_has_no_dir_track() {
+        let json = export(&sample_logs(), None, "native", "unit test");
         let sum = validate(&json).unwrap();
+        assert_eq!(sum.counters, 0);
         assert!(!sum.tracks.contains(&DIR_TRACK));
         assert!(!json.contains("\"name\":\"Dir\""));
+        assert!(json.contains("\"name\":\"T0\""));
     }
 
     #[test]

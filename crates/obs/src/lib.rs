@@ -43,7 +43,7 @@ pub mod json;
 pub mod ring;
 pub mod trace_render;
 
-pub use chrome::{export, export_tsv, validate, TraceMeta, TraceSummary};
+pub use chrome::{export, export_tsv, validate, TraceSummary};
 pub use event::{InstantKind, ObsEvent, SpanKind};
 pub use hist::Histogram;
 pub use ring::{ObsSink, ThreadLog, ThreadObs, DEFAULT_RING_CAPACITY};

@@ -1,10 +1,9 @@
 //! Per-thread event recording and the run-level sink.
 //!
 //! The hot path is a [`ThreadObs`] owned exclusively by one thread: a
-//! bounded, pre-allocated event buffer plus per-kind latency histograms.
-//! Recording is a bounds check and a couple of word writes — no locks,
-//! no allocation, no clock reads (callers pass timestamps they already
-//! have). When the buffer is full, further events are counted in
+//! bounded, pre-allocated event buffer. Recording is a bounds check and
+//! a couple of word writes — no locks, no allocation, no clock reads
+//! (callers pass timestamps they already have). When the buffer is full, further events are counted in
 //! `dropped` and discarded — deterministically, so a truncated trace of
 //! a fixed simulation is still byte-stable.
 //!
@@ -14,7 +13,6 @@
 //! of the incidental order threads finished in.
 
 use crate::event::{InstantKind, ObsEvent, SpanKind};
-use crate::hist::Histogram;
 use std::sync::Mutex;
 
 /// Default per-thread event capacity: enough for every suite workload at
@@ -30,10 +28,6 @@ pub struct ThreadLog {
     pub events: Vec<ObsEvent>,
     /// Events discarded after the buffer filled.
     pub dropped: u64,
-    /// Span latencies (end - start cycles) for enqueue-like spans.
-    pub enq_hist: Histogram,
-    /// Span latencies for dequeue-like spans (including empties/drains).
-    pub deq_hist: Histogram,
 }
 
 /// The per-thread recorder. Create one per participating thread with
@@ -45,8 +39,6 @@ pub struct ThreadObs {
     cap: usize,
     events: Vec<ObsEvent>,
     dropped: u64,
-    enq_hist: Histogram,
-    deq_hist: Histogram,
 }
 
 impl ThreadObs {
@@ -56,8 +48,6 @@ impl ThreadObs {
             cap,
             events: Vec::with_capacity(cap.min(DEFAULT_RING_CAPACITY)),
             dropped: 0,
-            enq_hist: Histogram::new(),
-            deq_hist: Histogram::new(),
         }
     }
 
@@ -70,18 +60,9 @@ impl ThreadObs {
         }
     }
 
-    /// Records a completed span `[start, end]` and folds its latency
-    /// into the matching histogram.
+    /// Records a completed span `[start, end]`.
     #[inline]
     pub fn span(&mut self, kind: SpanKind, start: u64, end: u64, arg: u64) {
-        let lat = end.saturating_sub(start);
-        match kind {
-            SpanKind::Enqueue => self.enq_hist.record(lat),
-            SpanKind::Dequeue | SpanKind::DequeueEmpty | SpanKind::Drain => {
-                self.deq_hist.record(lat)
-            }
-            SpanKind::Op | SpanKind::Service => {}
-        }
         self.push(ObsEvent::Span {
             kind,
             start,
@@ -147,8 +128,6 @@ impl ObsSink {
                 tid: t.tid,
                 events: t.events,
                 dropped: t.dropped,
-                enq_hist: t.enq_hist,
-                deq_hist: t.deq_hist,
             });
     }
 
@@ -158,24 +137,6 @@ impl ObsSink {
         let mut logs = std::mem::take(&mut *self.logs.lock().unwrap_or_else(|e| e.into_inner()));
         logs.sort_by_key(|l| l.tid);
         logs
-    }
-
-    /// Merged enqueue-latency histogram over all submitted threads.
-    pub fn merged_enq_hist(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for l in self.logs.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            h.merge(&l.enq_hist);
-        }
-        h
-    }
-
-    /// Merged dequeue-latency histogram over all submitted threads.
-    pub fn merged_deq_hist(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for l in self.logs.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            h.merge(&l.deq_hist);
-        }
-        h
     }
 }
 
@@ -198,9 +159,6 @@ mod tests {
         assert_eq!(logs[0].events[0].name(), "enqueue");
         assert_eq!(logs[0].events[1].name(), "barrier");
         assert_eq!(logs[0].dropped, 0);
-        assert_eq!(logs[0].enq_hist.count(), 1);
-        assert_eq!(logs[0].deq_hist.count(), 1);
-        assert_eq!(logs[0].enq_hist.max(), 15);
     }
 
     #[test]
@@ -232,18 +190,5 @@ mod tests {
         let logs = sink.take_logs();
         let tids: Vec<usize> = logs.iter().map(|l| l.tid).collect();
         assert_eq!(tids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn merged_histograms_sum_counts() {
-        let sink = ObsSink::default();
-        for tid in 0..3usize {
-            let mut t = sink.thread(tid);
-            t.span(SpanKind::Enqueue, 0, 10 * (tid as u64 + 1), 0);
-            sink.submit(t);
-        }
-        assert_eq!(sink.merged_enq_hist().count(), 3);
-        assert_eq!(sink.merged_deq_hist().count(), 0);
-        assert_eq!(sink.merged_enq_hist().max(), 30);
     }
 }

@@ -27,7 +27,7 @@
 //! a `job-claim` instant — so pool utilization can be eyeballed in
 //! Perfetto next to the simulator traces.
 
-use obs::{Histogram, InstantKind, ObsSink, SpanKind, TraceMeta};
+use obs::{Histogram, InstantKind, ObsSink, SpanKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -130,13 +130,7 @@ impl JobReport {
             }
             sink.submit(t);
         }
-        let meta = TraceMeta {
-            backend: "runner",
-            label: label.to_string(),
-            fastpath: None,
-            hops: None,
-        };
-        obs::export(&sink.take_logs(), &[], &meta)
+        obs::export(&sink.take_logs(), None, "runner", label)
     }
 }
 

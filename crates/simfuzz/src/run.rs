@@ -23,7 +23,7 @@ use harness::{
     SimBackend,
 };
 use linearize::{check_queue_linearizable, Event, Violation};
-use obs::{ObsSink, TraceMeta};
+use obs::ObsSink;
 use std::sync::Arc;
 
 /// Result of one fuzz run.
@@ -117,18 +117,13 @@ pub fn trace_plan(plan: &FuzzPlan) -> String {
     s.obs = Some(Arc::clone(&sink));
     let out = record_history(&mut backend, plan.queue, s);
     let report = out.report.sim.expect("sim backend always carries a report");
-    let meta = TraceMeta {
-        backend: "sim",
-        label: format!(
-            "fuzz {} seed {} ({} threads)",
-            plan.queue.name(),
-            plan.seed,
-            plan.threads
-        ),
-        fastpath: Some((report.stats.fastpath_hits, report.stats.fastpath_fallbacks)),
-        hops: Some((report.stats.hops_intra, report.stats.hops_cross)),
-    };
-    obs::export(&sink.take_logs(), &report.trace, &meta)
+    let label = format!(
+        "fuzz {} seed {} ({} threads)",
+        plan.queue.name(),
+        plan.seed,
+        plan.threads
+    );
+    obs::export(&sink.take_logs(), Some(&report), "sim", &label)
 }
 
 /// Runs `run` on native atomics (real OS threads). The machine's fault

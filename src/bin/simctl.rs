@@ -169,9 +169,7 @@
 //! ```
 
 use bench::fig::Figure;
-use bench::workload::{
-    paper_workload, run_workload, run_workload_native, trace_workload, Workload, WorkloadKind,
-};
+use bench::workload::{paper_workload, run_workload, trace_workload, Workload, WorkloadKind};
 use coherence::{HomePolicy, MachineConfig};
 use harness::{run_scenario, ActorFamily, BackendKind, QueueKind, ScenarioSpec};
 use loadgen::{ArrivalPattern, LoadPlan, SweepSpec};
@@ -390,10 +388,7 @@ fn parse_run_spec(args: &[String]) -> Res<(RunSpec, Keys)> {
 fn run_main(args: &[String]) -> Res<()> {
     let (spec, keys) = parse_run_spec(args)?;
     keys.finish()?;
-    let m = match spec.backend {
-        BackendKind::Sim => run_workload(spec.queue, &spec.w),
-        BackendKind::Native => run_workload_native(spec.queue, &spec.w),
-    };
+    let m = run_workload(spec.queue, &spec.w, spec.backend);
 
     println!("queue\tworkload\tthreads\tlatency_ns\tthroughput_mops\tduration_ns_per_op\ttx_commits\ttx_aborts\ttx_aborts_interrupt\ttripped\tp50_ns\tp99_ns\tmax_ns\thops_intra\thops_cross\tdir_cross");
     println!(

@@ -2,7 +2,7 @@
 //! parallel fan-out, the observability hook, and the load numbers
 //! themselves must all be interchangeable with their references.
 
-use bench::workload::closed_loop_reference;
+use bench::workload::{paper_workload, run_workload, Measurement, WorkloadKind};
 use harness::{BackendKind, QueueKind};
 use loadgen::{run_load, run_sweep, to_json, to_tsv, LoadPlan, SweepSpec};
 use obs::ObsSink;
@@ -97,6 +97,15 @@ fn obs_recording_does_not_perturb_the_run() {
             plan.requests
         );
     }
+}
+
+/// A closed-loop reference point: `threads` producers enqueue `ops` each
+/// as fast as the queue lets them, machine jitter off so the run is
+/// deterministic.
+fn closed_loop_reference(kind: QueueKind, threads: usize, ops: u64) -> Measurement {
+    let mut w = paper_workload(WorkloadKind::ProducerOnly, threads, ops);
+    w.machine.delay_jitter_pct = 0;
+    run_workload(kind, &w, BackendKind::Sim)
 }
 
 /// Zero-overload sanity: with offered load far below capacity, an
