@@ -12,8 +12,13 @@
 //!   crate), where latency is measured in simulated cycles.
 //!
 //! Addresses are plain `u64` line/word indices; `0` is `NULL`.
+//!
+//! The [`txn`] module is the transactional half of the interface: the
+//! RTM-shaped [`txn::HtmOps`] trait TxCAS is written against, which the
+//! simulator implements.
 
 pub mod native;
+pub mod txn;
 
 /// The reserved null address. Allocators never return it.
 pub const NULL: u64 = 0;
@@ -90,7 +95,7 @@ pub trait ThreadCtx {
 /// How a queue's contended tail CAS is performed. The paper evaluates three
 /// strategies on the *same* modular queue: a plain CAS (baselines), a
 /// delayed CAS (the SBQ-CAS control), and the HTM-based TxCAS (SBQ-HTM,
-/// defined in the `sbq` crate because it needs the HTM interface).
+/// defined in the `sbq` crate over [`txn::HtmOps`]).
 pub trait CasStrategy<C: ?Sized> {
     /// Attempts to change `m[a]` from `old` to `new`, returning whether the
     /// caller's value was installed. Unlike a raw CAS, a strategy is allowed

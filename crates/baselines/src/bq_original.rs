@@ -140,7 +140,14 @@ mod tests {
     fn queue_fifo_single_thread() {
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let q = new_bq_original(&mut ctx, QueueConfig::default());
+        let q = new_bq_original(
+            &mut ctx,
+            QueueConfig {
+                max_threads: 1,
+                reclaim: true,
+                poison_on_free: true,
+            },
+        );
         let mut st = EnqueuerState::default();
         for i in 1..=100u64 {
             q.enqueue(&mut ctx, &mut st, i);

@@ -20,11 +20,9 @@
 pub mod bq_original;
 pub mod cc_queue;
 pub mod ms_queue;
-pub mod ms_queue_hp;
 pub mod wf_queue;
 
 pub use bq_original::{new_bq_original, BqOriginal, LifoBasket};
 pub use cc_queue::{CcHandle, CcQueue};
 pub use ms_queue::MsQueue;
-pub use ms_queue_hp::{MsHpThread, MsQueueHp};
 pub use wf_queue::{WfHandle, WfQueue, SEG_CELLS};

@@ -38,9 +38,10 @@ use std::cell::Cell;
 use std::mem::MaybeUninit;
 
 /// The fiber link's stack size: 64 KiB per simulated core. Simulated
-/// programs are shallow (queue operations plus the `htm` combinators),
-/// and at 64 KiB a paper-scale 176-core machine keeps all its stacks in
-/// ~11 MiB instead of the 177 MiB the old fixed 1 MiB layout needed.
+/// programs are shallow (queue operations plus the `absmem::txn`
+/// combinators), and at 64 KiB a paper-scale 176-core machine keeps all
+/// its stacks in ~11 MiB instead of the 177 MiB the old fixed 1 MiB
+/// layout needed.
 /// Every run of every suite is the check that this suffices: the canary
 /// test at each handoff fails a run whose program outgrows its stack
 /// instead of letting it corrupt memory.

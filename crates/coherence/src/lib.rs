@@ -64,11 +64,9 @@ pub mod machine;
 pub mod msg;
 pub mod sim;
 pub mod stats;
-pub mod txn;
 
 pub use component::Component;
 pub use config::{cycles_to_ns, ns_to_cycles, ComponentSpec, HomePolicy, MachineConfig, GHZ};
 pub use machine::{Machine, Program, SimCtx};
 pub use sim::CompCtx;
 pub use stats::{RunReport, Stats, TraceEvent};
-pub use txn::{Abort, TxResult};

@@ -27,15 +27,15 @@
 //! as the core's retirement request; the pump re-raises the program's own
 //! payload on the thread that called [`Machine::run`].
 //!
-//! Programs see a [`SimCtx`], which implements [`absmem::ThreadCtx`] plus
-//! the raw HTM operations (`tx_begin` / `tx_end` / `tx_abort` and
-//! fallible transactional loads/stores). The friendlier RTM-style
-//! combinators live in the `htm` crate.
+//! Programs see a [`SimCtx`], which implements [`absmem::ThreadCtx`] and
+//! [`absmem::txn::HtmOps`], the raw HTM operations (`tx_begin` /
+//! `tx_end` / `tx_abort` and fallible transactional loads/stores) under
+//! the RTM-style combinators of [`absmem::txn`].
 
 use crate::config::MachineConfig;
 use crate::sim::{OpKind, OpOutcome, Resume, Sim};
 use crate::stats::RunReport;
-use crate::txn::{Abort, TxResult};
+use absmem::txn::{Abort, HtmOps, TxResult};
 use simalloc::{ThreadCache, WordPool};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -394,46 +394,6 @@ impl SimCtx {
         self.core
     }
 
-    // ---- raw HTM interface (used by the `htm` crate) ----
-
-    /// Starts a (possibly nested) transaction.
-    pub fn tx_begin(&mut self) -> TxResult<()> {
-        self.fallible(OpKind::TxBegin).map(|_| ())
-    }
-
-    /// Commits the innermost transaction. At top level this waits for the
-    /// transactional write's GetM to complete (the store-buffer drain) and
-    /// can therefore abort.
-    pub fn tx_end(&mut self) -> TxResult<()> {
-        self.fallible(OpKind::TxEnd).map(|_| ())
-    }
-
-    /// Explicitly aborts the running transaction with `code`; never
-    /// returns normally.
-    pub fn tx_abort(&mut self, code: u8) -> Abort {
-        match self.fallible(OpKind::TxAbort(code)) {
-            Err(a) => a,
-            Ok(_) => unreachable!("xabort committed"),
-        }
-    }
-
-    /// Transactional load.
-    pub fn tx_read(&mut self, a: u64) -> TxResult<u64> {
-        self.fallible(OpKind::Read(a))
-    }
-
-    /// Transactional store.
-    pub fn tx_write(&mut self, a: u64, v: u64) -> TxResult<()> {
-        self.fallible(OpKind::Write(a, v)).map(|_| ())
-    }
-
-    /// In-transaction delay, interruptible by an abort (the paper's
-    /// intra-transaction delay of §4.1 relies on this: a delaying
-    /// transaction is aborted the moment a winner's invalidation arrives).
-    pub fn tx_delay(&mut self, cycles: u64) -> TxResult<()> {
-        self.fallible(OpKind::Delay(cycles)).map(|_| ())
-    }
-
     /// Blocks until a `TickGate` component (see
     /// `MachineConfig::components`) releases this core's next tick, or
     /// consumes a banked release immediately. The pacing primitive for
@@ -442,13 +402,6 @@ impl SimCtx {
     /// fails the deadlock assertion with a hint rather than hanging.
     pub fn wait_tick(&mut self) {
         self.infallible(OpKind::WaitTick);
-    }
-
-    /// True while inside a transaction? Not exposed: programs track their
-    /// own nesting via the `htm` combinators.
-    #[doc(hidden)]
-    pub fn local_time(&self) -> u64 {
-        self.local_time
     }
 
     /// Blocks until every live application thread has reached a barrier;
@@ -528,6 +481,35 @@ impl absmem::ThreadCtx for SimCtx {
 
     fn wait_tick(&mut self) {
         SimCtx::wait_tick(self)
+    }
+}
+
+impl HtmOps for SimCtx {
+    fn tx_begin(&mut self) -> TxResult<()> {
+        self.fallible(OpKind::TxBegin).map(|_| ())
+    }
+
+    fn tx_end(&mut self) -> TxResult<()> {
+        self.fallible(OpKind::TxEnd).map(|_| ())
+    }
+
+    fn tx_abort(&mut self, code: u8) -> Abort {
+        match self.fallible(OpKind::TxAbort(code)) {
+            Err(a) => a,
+            Ok(_) => unreachable!("xabort committed"),
+        }
+    }
+
+    fn tx_read(&mut self, a: u64) -> TxResult<u64> {
+        self.fallible(OpKind::Read(a))
+    }
+
+    fn tx_write(&mut self, a: u64, v: u64) -> TxResult<()> {
+        self.fallible(OpKind::Write(a, v)).map(|_| ())
+    }
+
+    fn tx_delay(&mut self, cycles: u64) -> TxResult<()> {
+        self.fallible(OpKind::Delay(cycles)).map(|_| ())
     }
 }
 

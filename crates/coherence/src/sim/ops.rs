@@ -5,7 +5,7 @@ use super::cache::{CState, OpState, PendingReq, Waiter};
 use super::event::Event;
 use super::{op_line, LineId, OpKind, OpOutcome, Sim};
 use crate::msg::{Msg, Node};
-use crate::txn;
+use absmem::txn;
 
 impl Sim {
     pub(super) fn begin_op(&mut self, core: usize, op: OpKind) {

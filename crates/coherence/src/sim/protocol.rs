@@ -4,7 +4,7 @@ use super::cache::{CState, OpState, Waiter, F_TW};
 use super::event::Event;
 use super::{LineId, OpOutcome, Sim};
 use crate::msg::{Msg, Node};
-use crate::txn;
+use absmem::txn;
 
 impl Sim {
     pub(super) fn cache_handle(&mut self, core: usize, msg: Msg) {

@@ -5,7 +5,7 @@ use super::cache::OpState;
 use super::event::Event;
 use super::{OpOutcome, Sim};
 use crate::stats::TraceEvent;
-use crate::txn;
+use absmem::txn;
 
 /// The deterministic machine surface a [`crate::component::Component`]
 /// sees during its tick. Deliberately narrow: no RNG, no direct cache or

@@ -4,9 +4,9 @@
 //! a gate no core waits on is provably benign; and a paced thread with
 //! no gate fails the deadlock assertion with a hint instead of hanging.
 
+use absmem::txn::{self, HtmOps};
 use absmem::ThreadCtx;
 use coherence::machine::testhooks::run_on_threads;
-use coherence::txn;
 use coherence::{ComponentSpec, Machine, MachineConfig, Program, RunReport, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};

@@ -8,6 +8,7 @@
 //! The fixture disables delay jitter and spurious aborts (the only RNG
 //! consumers), so any divergence is a scheduler-ordering bug, not noise.
 
+use absmem::txn::{HtmOps, TxResult};
 use absmem::ThreadCtx;
 use coherence::machine::testhooks::run_on_threads;
 use coherence::{ComponentSpec, Machine, MachineConfig, Program, RunReport, SimCtx};
@@ -93,7 +94,7 @@ fn fixed_workload_full(
                         let mut tries = 0;
                         loop {
                             tries += 1;
-                            let r = (|| -> coherence::TxResult<()> {
+                            let r = (|| -> TxResult<()> {
                                 ctx.tx_begin()?;
                                 let v = ctx.tx_read(base + 1)?;
                                 ctx.tx_delay(20)?;
@@ -376,7 +377,7 @@ fn randomized_faulty_workload_full(seed: u64, threads: bool, idle_gate: bool) ->
                 let mut tries = 0;
                 loop {
                     tries += 1;
-                    let r = (|| -> coherence::TxResult<()> {
+                    let r = (|| -> TxResult<()> {
                         ctx.tx_begin()?;
                         let v = ctx.tx_read(base + 1 + (i as u64 % 3))?;
                         ctx.tx_delay(10)?;

@@ -10,6 +10,7 @@
 //! comparison: they measure *how* ops retired, which is exactly what the
 //! two configurations legitimately disagree on.
 
+use absmem::txn::{HtmOps, TxResult};
 use absmem::ThreadCtx;
 use coherence::machine::testhooks::run_on_threads;
 use coherence::sim::{OpKind, OpOutcome, Sim};
@@ -102,7 +103,7 @@ fn fixture(cores: usize, dual_socket: bool, fast_path: bool, threads: bool) -> R
                         let mut tries = 0;
                         loop {
                             tries += 1;
-                            let r = (|| -> coherence::TxResult<()> {
+                            let r = (|| -> TxResult<()> {
                                 ctx.tx_begin()?;
                                 let v = ctx.tx_read(base + 1)?;
                                 ctx.tx_delay(20)?;
@@ -304,7 +305,7 @@ fn randomized_workload(seed: u64, fast_path: bool) -> RunReport {
                 let mut tries = 0;
                 loop {
                     tries += 1;
-                    let r = (|| -> coherence::TxResult<()> {
+                    let r = (|| -> TxResult<()> {
                         ctx.tx_begin()?;
                         let v = ctx.tx_read(base + 1 + (i as u64 % 3))?;
                         ctx.tx_delay(10)?;

@@ -4,6 +4,7 @@
 //! same line again, which must merge into the in-flight request (MSHR
 //! behaviour) instead of deadlocking or double-requesting.
 
+use absmem::txn::{HtmOps, TxResult};
 use absmem::ThreadCtx;
 use coherence::{Machine, MachineConfig, Program, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -28,7 +29,7 @@ fn aborted_txn_write_then_immediate_reread() {
                 // other, so exactly one loses mid-GetM or mid-delay.
                 let _ = ctx.read(a);
                 ctx.barrier();
-                let r = (|| -> coherence::TxResult<()> {
+                let r = (|| -> TxResult<()> {
                     ctx.tx_begin()?;
                     let v = ctx.tx_read(a)?;
                     if i == 0 {
@@ -90,7 +91,7 @@ fn txcas_retry_storm_terminates() {
                     // after the write step, leaving headless GetMs, then
                     // immediately re-read.
                     let old = ctx.read(a);
-                    let r = (|| -> coherence::TxResult<()> {
+                    let r = (|| -> TxResult<()> {
                         ctx.tx_begin()?;
                         let v = ctx.tx_read(a)?;
                         if v != old {

@@ -3,6 +3,7 @@
 //! programs, and linearizable (here: value-conserving and
 //! last-write-wins-consistent) for concurrent ones.
 
+use absmem::txn::{HtmOps, TxResult};
 use absmem::ThreadCtx;
 use coherence::{Machine, MachineConfig, Program, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -210,7 +211,7 @@ fn mixed_transactional_and_plain_traffic_stays_coherent() {
     assert_eq!(faa_total, 100, "plain increments lost");
 }
 
-fn htm_like(ctx: &mut SimCtx, a: u64) -> coherence::TxResult<()> {
+fn htm_like(ctx: &mut SimCtx, a: u64) -> TxResult<()> {
     ctx.tx_begin()?;
     let v = ctx.tx_read(a)?;
     ctx.tx_write(a, v + 1)?;

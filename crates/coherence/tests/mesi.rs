@@ -1,6 +1,7 @@
 //! MESI Exclusive-state extension: uncontended read-then-write sequences
 //! save a directory round trip; all contended behaviour is unchanged.
 
+use absmem::txn::{HtmOps, TxResult};
 use absmem::ThreadCtx;
 use coherence::{Machine, MachineConfig, Program, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -130,7 +131,7 @@ fn contended_faa_identical_under_both_protocols() {
 fn transactions_work_over_exclusive_lines() {
     let (report, vals) = run_counting(true, 1, |ctx, a| {
         let _ = ctx.read(a + 4); // E grant (untouched line)
-        let r = (|| -> coherence::TxResult<u64> {
+        let r = (|| -> TxResult<u64> {
             ctx.tx_begin()?;
             let v = ctx.tx_read(a + 4)?;
             ctx.tx_write(a + 4, v + 9)?; // buffered over the E line

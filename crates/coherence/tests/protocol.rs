@@ -2,6 +2,7 @@
 //! down the cache-coherence dynamics the paper's analysis (§3) relies on,
 //! before any queue is built on top.
 
+use absmem::txn::{self, HtmOps, TxResult};
 use absmem::ThreadCtx;
 use coherence::{Machine, MachineConfig, Program, SimCtx};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
@@ -193,7 +194,7 @@ fn explicit_abort_rolls_back() {
     let cfg = MachineConfig::single_socket(1);
     let (report, vals) = run_n(cfg, word_setup, |ctx, a| {
         ctx.tx_begin().unwrap();
-        let r: coherence::TxResult<()> = (|| {
+        let r: TxResult<()> = (|| {
             ctx.tx_write(a, 99)?;
             Err(ctx.tx_abort(5))
         })();
@@ -202,8 +203,8 @@ fn explicit_abort_rolls_back() {
     });
     let (val, status) = vals[0];
     assert_eq!(val, 0, "transactional write must be rolled back");
-    assert!(coherence::txn::is_explicit(status));
-    assert_eq!(coherence::txn::code(status), 5);
+    assert!(txn::is_explicit(status));
+    assert_eq!(txn::code(status), 5);
     assert_eq!(report.stats.tx_aborts_explicit, 1);
     assert_eq!(report.stats.tx_commits, 0);
 }
@@ -218,8 +219,8 @@ fn nested_abort_sets_nested_bit() {
         ctx.tx_begin().unwrap();
         ctx.tx_abort(3).status
     });
-    assert!(coherence::txn::is_nested(vals[0]));
-    assert!(coherence::txn::is_explicit(vals[0]));
+    assert!(txn::is_nested(vals[0]));
+    assert!(txn::is_explicit(vals[0]));
 }
 
 /// §3.3 / Figure 2b: when many HTM CASes contend, exactly one commits per
@@ -234,7 +235,7 @@ fn htm_cas_failures_are_concurrent() {
             // One round of transactional CAS(0 -> tid+1): read, delay,
             // write, commit.
             let t0 = ctx.now();
-            let _ = (|| -> coherence::TxResult<()> {
+            let _ = (|| -> TxResult<()> {
                 ctx.tx_begin()?;
                 let v = ctx.tx_read(a)?;
                 if v != 0 {
@@ -284,7 +285,7 @@ fn tripped_writer_and_microarch_fix() {
                     // Writer (socket 0): read first (becomes sharer), then
                     // transactional CAS without delay.
                     let _ = ctx.read(a);
-                    let _ = (|| -> coherence::TxResult<()> {
+                    let _ = (|| -> TxResult<()> {
                         ctx.tx_begin()?;
                         let v = ctx.tx_read(a)?;
                         ctx.tx_write(a, v + 1)?;
@@ -333,7 +334,7 @@ fn delay_is_interruptible_by_abort() {
         if ctx.thread_id() == 0 {
             // Reader transaction with a huge delay.
             let t0 = ctx.now();
-            let _ = (|| -> coherence::TxResult<()> {
+            let _ = (|| -> TxResult<()> {
                 ctx.tx_begin()?;
                 ctx.tx_read(a)?;
                 ctx.tx_delay(1_000_000)?;
@@ -361,7 +362,7 @@ fn spurious_aborts_injected() {
     let mut cfg = MachineConfig::single_socket(1);
     cfg.spurious_abort_ppm = 1_000_000;
     let (report, vals) = run_n(cfg, word_setup, |ctx, a| {
-        let r = (|| -> coherence::TxResult<()> {
+        let r = (|| -> TxResult<()> {
             ctx.tx_begin()?;
             let v = ctx.tx_read(a)?;
             ctx.tx_write(a, v + 1)?;
@@ -371,8 +372,8 @@ fn spurious_aborts_injected() {
         r.unwrap_err().status
     });
     assert_eq!(report.stats.tx_aborts_spurious, 1);
-    assert!(!coherence::txn::is_conflict(vals[0]));
-    assert!(!coherence::txn::is_explicit(vals[0]));
+    assert!(!txn::is_conflict(vals[0]));
+    assert!(!txn::is_explicit(vals[0]));
 }
 
 /// Cross-socket messages cost more: the same contended FAA workload takes

@@ -31,12 +31,10 @@ pub mod basket;
 pub mod basket_striped;
 pub mod modular;
 pub mod native;
-pub mod reclaim_hp;
 pub mod txcas;
 
 pub use basket::{Basket, SbqBasket, ELEM_MAX, NULL_ELEM};
 pub use basket_striped::StripedBasket;
 pub use modular::{AppendStatus, EnqueuerState, ModularQueue, QueueConfig, SingleBasket};
 pub use native::{Sbq, SbqHandle};
-pub use reclaim_hp::{HazardDomain, RetireList};
 pub use txcas::{txn_cas, TxCas, TxCasParams, TxCasStats};

@@ -64,16 +64,6 @@ pub struct QueueConfig {
     pub poison_on_free: bool,
 }
 
-impl Default for QueueConfig {
-    fn default() -> Self {
-        QueueConfig {
-            max_threads: 64,
-            reclaim: true,
-            poison_on_free: cfg!(debug_assertions),
-        }
-    }
-}
-
 const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 
 // Queue descriptor layout.
@@ -511,7 +501,16 @@ mod tests {
     fn single_basket_yields_ms_queue_fifo() {
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let q = ModularQueue::new(&mut ctx, SingleBasket, StandardCas, QueueConfig::default());
+        let q = ModularQueue::new(
+            &mut ctx,
+            SingleBasket,
+            StandardCas,
+            QueueConfig {
+                max_threads: 1,
+                reclaim: true,
+                poison_on_free: true,
+            },
+        );
         let mut st = EnqueuerState::default();
         for i in 1..=20u64 {
             q.enqueue(&mut ctx, &mut st, i);

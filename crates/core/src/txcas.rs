@@ -27,8 +27,8 @@
 //! "Progress"). In practice the fallback never triggers (we assert as much
 //! in benchmarks via [`TxCasStats`]).
 
+use absmem::txn::{self, nested, transaction, HtmOps};
 use absmem::{Addr, CasStrategy};
-use htm::{nested, status, transaction, HtmOps};
 use std::cell::RefCell;
 
 /// Tuning parameters for TxCAS.
@@ -99,15 +99,15 @@ pub fn txn_cas<C: HtmOps>(
         }
         let ret = transaction(ctx, |ctx| {
             nested(ctx, |ctx| {
-                let value = ctx.htm_read(ptr)?;
+                let value = ctx.tx_read(ptr)?;
                 if value != old {
                     // Self-abort code 1: value mismatch.
-                    return Err(ctx.htm_abort(1));
+                    return Err(ctx.tx_abort(1));
                 }
-                ctx.htm_delay(p.intra_delay)?;
+                ctx.tx_delay(p.intra_delay)?;
                 Ok(())
             })?;
-            ctx.htm_write(ptr, new)?;
+            ctx.tx_write(ptr, new)?;
             Ok(())
         });
         let status_word = match ret {
@@ -118,12 +118,12 @@ pub fn txn_cas<C: HtmOps>(
             }
             Err(s) => s,
         };
-        if status::is_explicit(status_word) && status::code(status_word) == 1 {
+        if txn::is_explicit(status_word) && txn::code(status_word) == 1 {
             // The transaction itself saw *ptr != old.
             stats.fail_self_abort += 1;
             return false;
         }
-        if !(status::is_conflict(status_word) && status::is_nested(status_word)) {
+        if !(txn::is_conflict(status_word) && txn::is_nested(status_word)) {
             // Either a non-conflict abort (spurious), or a conflict that
             // hit the main transaction — i.e. at/after the write step. Our
             // write may have been the tripped writer; retry immediately,

@@ -137,10 +137,9 @@ pub fn enqueue_multiset(history: &[Event]) -> Vec<u64> {
     vals
 }
 
-/// Runs `spec` over a statically chosen adapter type `Q` — the entry
-/// point for custom adapters that are not a [`QueueKind`] (tests and
-/// ablations); [`record_history`] routes every kind through here.
-pub fn record_history_as<B, Q>(backend: &mut B, spec: DriveSpec) -> DriveOutcome
+/// Runs `spec` over a statically chosen adapter type `Q`;
+/// [`record_history`] routes every kind through here.
+fn record_history_as<B, Q>(backend: &mut B, spec: DriveSpec) -> DriveOutcome
 where
     B: Backend,
     Q: QueueAdapter<B::Ctx> + 'static,

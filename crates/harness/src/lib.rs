@@ -6,7 +6,7 @@
 //!
 //! | layer | owns |
 //! |-------|------|
-//! | `absmem` | the word-addressed memory model: [`absmem::ThreadCtx`], CAS strategies, the native substrate |
+//! | `absmem` | the word-addressed memory model: [`absmem::ThreadCtx`], CAS strategies, the transactional interface [`absmem::txn`], the native substrate |
 //! | `coherence` | the simulated substrate: MESI machine, HTM, `SimCtx` |
 //! | `core`/`sbq`/`baselines` | queue algorithms, generic over `ThreadCtx` |
 //! | **`harness`** (this crate) | *running* queues: [`Backend`], the [`QueueKind`] adapters, history recording, delay calibration |
@@ -40,7 +40,7 @@ pub mod scenario;
 pub use backend::{Backend, BackendKind, BackendReport, Job, NativeBackend, SimBackend};
 pub use history::{
     dequeue_multiset, enqueue_multiset, history_digest, history_value, mixed_ops, record_history,
-    record_history_as, sort_history, DriveOutcome, DriveSpec,
+    sort_history, DriveOutcome, DriveSpec,
 };
 pub use queues::{
     BqOriginalQ, CcQ, MsQ, QueueAdapter, QueueKind, QueueParams, QueueVisitor, SbqCasQ, SbqHtmQ,

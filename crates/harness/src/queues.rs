@@ -92,16 +92,12 @@ pub trait Substrate: ThreadCtx + Sized + 'static {
     /// Strategy for the contended tail CAS on this substrate.
     type TailCas: CasStrategy<Self> + 'static;
 
-    /// True when [`Self::TailCas`] is the real HTM TxCAS.
-    const HAS_HTM: bool;
-
     /// Builds the tail-CAS strategy from the queue parameters.
     fn tail_cas(p: &QueueParams) -> Self::TailCas;
 }
 
 impl Substrate for coherence::SimCtx {
     type TailCas = TxCas;
-    const HAS_HTM: bool = true;
 
     fn tail_cas(p: &QueueParams) -> TxCas {
         TxCas::new(p.txcas)
@@ -110,7 +106,6 @@ impl Substrate for coherence::SimCtx {
 
 impl Substrate for absmem::native::NativeCtx {
     type TailCas = DelayedCas;
-    const HAS_HTM: bool = false;
 
     fn tail_cas(p: &QueueParams) -> DelayedCas {
         DelayedCas {

@@ -5,7 +5,7 @@
 //! * **Preempt** — worker threads run a mixed enqueue/dequeue stream
 //!   while an [`ComponentSpec::Interrupt`] source periodically preempts
 //!   cores round-robin, aborting any in-flight transaction with
-//!   [`coherence::txn::INTERRUPT`]. Measures throughput and abort
+//!   [`absmem::txn::INTERRUPT`]. Measures throughput and abort
 //!   composition under rising preemption (EXPERIMENTS.md E14).
 //! * **Timer** — producers free-run while one consumer dequeues on a
 //!   fixed period: it `wait_tick()`s before every dequeue and a

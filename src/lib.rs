@@ -11,9 +11,8 @@
 //! | crate | role |
 //! |---|---|
 //! | [`simalloc`] | scalable word-range allocator (Memkind stand-in) |
-//! | [`absmem`] | word-addressed memory model + native atomics backend |
+//! | [`absmem`] | word-addressed memory model, RTM-style transactional interface, native atomics backend |
 //! | [`coherence`] | discrete-event MSI directory + HTM simulator |
-//! | [`htm`] | RTM-style transactional programming interface |
 //! | [`sbq`] | **the contribution**: TxCAS, scalable basket, SBQ |
 //! | [`baselines`] | MS-Queue, BQ-Original, WF-Queue, CC-Queue |
 //! | [`linearize`] | aspect-oriented queue linearizability checker |
@@ -31,7 +30,6 @@ pub use baselines;
 pub use ::bench as bench_harness;
 pub use coherence;
 pub use harness;
-pub use htm;
 pub use linearize;
 pub use sbq;
 pub use simalloc;

@@ -80,7 +80,16 @@ fn modular_single_basket_matches_standalone_ms_queue_and_model() {
         // Modular queue instantiated as MS (SingleBasket).
         let heap2 = Arc::new(NativeHeap::new());
         let mut ctx2 = heap2.ctx(0);
-        let mq = ModularQueue::new(&mut ctx2, SingleBasket, StandardCas, QueueConfig::default());
+        let mq = ModularQueue::new(
+            &mut ctx2,
+            SingleBasket,
+            StandardCas,
+            QueueConfig {
+                max_threads: 1,
+                reclaim: true,
+                poison_on_free: true,
+            },
+        );
         let mut st = EnqueuerState::default();
         let got_modular = drive!(
             &ops,

@@ -12,11 +12,10 @@
 //! linearizability the suite asserts exact element conservation: the
 //! dequeued multiset equals the enqueued multiset.
 
-use absmem::ThreadCtx;
 use coherence::MachineConfig;
 use harness::{
-    dequeue_multiset, enqueue_multiset, mixed_ops, record_history, Backend, DriveOutcome,
-    DriveSpec, NativeBackend, QueueAdapter, QueueKind, QueueParams, SimBackend,
+    dequeue_multiset, enqueue_multiset, mixed_ops, record_history, DriveOutcome, DriveSpec,
+    NativeBackend, QueueKind, QueueParams, SimBackend,
 };
 use linearize::check_queue_linearizable;
 use sbq::txcas::TxCasParams;
@@ -96,56 +95,4 @@ fn sbq_htm_stays_linearizable_under_spurious_aborts() {
     // With a 30% abort rate some transactions must actually have aborted,
     // or the knob did nothing.
     assert!(out.report.tx_aborts() > 0, "no aborts were injected");
-}
-
-/// The hazard-pointer MS queue is not a [`QueueKind`] (it exists as a
-/// reclamation comparison, not a paper series), so it exercises the
-/// harness's extension point instead: a custom [`QueueAdapter`] defined
-/// here, runnable on both backends unchanged. The two published addresses
-/// (queue + HP domain) are packed into a two-word descriptor block.
-struct MsHpQ {
-    q: baselines::MsQueueHp,
-    st: baselines::MsHpThread,
-}
-
-impl<C: ThreadCtx> QueueAdapter<C> for MsHpQ {
-    const NAME: &'static str = "MS-Queue-HP";
-
-    fn create(ctx: &mut C, p: &QueueParams) -> u64 {
-        let q = baselines::MsQueueHp::new(ctx, p.max_threads);
-        let (qb, db) = q.parts();
-        let pack = ctx.alloc(2);
-        ctx.write(pack, qb);
-        ctx.write(pack + 1, db);
-        pack
-    }
-
-    fn attach(pack: u64, ctx: &mut C, p: &QueueParams) -> Self {
-        let qb = ctx.read(pack);
-        let db = ctx.read(pack + 1);
-        let q = baselines::MsQueueHp::from_parts(qb, db, p.max_threads);
-        let st = q.thread_state(p.max_threads);
-        MsHpQ { q, st }
-    }
-
-    fn enqueue(&mut self, ctx: &mut C, v: u64) {
-        self.q.enqueue(ctx, v)
-    }
-
-    fn dequeue(&mut self, ctx: &mut C) -> Option<u64> {
-        self.q.dequeue(ctx, &mut self.st)
-    }
-}
-
-fn run_ms_hp<B: Backend>(backend: &mut B, label: &str) {
-    // record_history dispatches on QueueKind; a custom adapter drives the
-    // same loop through the visitor-free generic path instead.
-    let out = harness::record_history_as::<B, MsHpQ>(backend, spec());
-    assert_clean("MS-Queue-HP", label, &out);
-}
-
-#[test]
-fn ms_queue_hp_adapter_runs_on_both_backends() {
-    run_ms_hp(&mut sim_backend(), "sim");
-    run_ms_hp(&mut NativeBackend, "native");
 }
