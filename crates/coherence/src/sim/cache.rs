@@ -31,10 +31,6 @@ impl LineSet {
         self.lines.len()
     }
 
-    pub(super) fn iter(&self) -> impl Iterator<Item = &LineId> {
-        self.lines.iter()
-    }
-
     pub(super) fn clear(&mut self) {
         self.lines.clear();
     }
@@ -62,8 +58,8 @@ impl CState {
 /// plus the transactional write mark.
 pub(super) const F_STATE: u8 = 0b0011;
 /// Line is in the running transaction's write set with the write applied
-/// (`values` holds the transactional, uncommitted datum; `cleans` the
-/// pre-transaction one).
+/// (the line's value holds the transactional, uncommitted datum;
+/// [`Txn::cleans`] the pre-transaction one).
 pub(super) const F_TW: u8 = 0b0100;
 
 #[inline]
@@ -119,6 +115,10 @@ pub(super) struct Txn {
     pub(super) depth: u32,
     pub(super) read_set: LineSet,
     pub(super) write_set: LineSet,
+    /// The pre-transaction value of each line marked `F_TW`, in marking
+    /// order: what an abort restores. Only the owner holding the mark
+    /// needs it, so it lives here rather than in a per-line array.
+    pub(super) cleans: Vec<(LineId, u64)>,
 }
 
 /// Where a core's thread currently is, from the engine's point of view.
@@ -144,21 +144,16 @@ pub(super) enum OpState {
 }
 
 /// One core's private cache controller plus HTM state. Per-line state is
-/// structure-of-arrays, dense over the line arena: the flag byte, the
-/// current value, and the pre-transaction value live in three parallel
-/// vectors grown lazily to the highest line this cache has touched.
+/// one flag byte, dense over the line arena and grown lazily to the
+/// highest line this cache has touched. A valid copy's value is the
+/// line's one value in the arena (see `LineArena::values`), so a cache
+/// costs 1 B per line.
 #[derive(Debug)]
 pub(super) struct Cache {
     /// Per-line flag byte, indexed by [`LineId`]: bits 0–1 the
     /// [`CState`], bit 2 `F_TW`. Lines beyond the vector are Invalid with
     /// no mark. The read set is kept only in [`Txn::read_set`].
     pub(super) flags: Vec<u8>,
-    /// Per-line current value (transactional, uncommitted datum while
-    /// `F_TW` is set).
-    pub(super) values: Vec<u64>,
-    /// Per-line pre-transaction value to restore on abort (valid while
-    /// `F_TW` is set).
-    pub(super) cleans: Vec<u64>,
     /// Outstanding coherence requests: at most one the thread waits on
     /// (waiter set / deferred op), plus headless ones. Linear scan.
     pub(super) pending: Vec<PendingReq>,
@@ -197,8 +192,6 @@ impl Cache {
     pub(super) fn new(socket: usize) -> Self {
         Cache {
             flags: Vec::new(),
-            values: Vec::new(),
-            cleans: Vec::new(),
             pending: Vec::new(),
             deferred: None,
             deferred_line: 0,
@@ -215,14 +208,12 @@ impl Cache {
         }
     }
 
-    /// Grows the per-line arrays to cover `line`.
+    /// Grows the flag array to cover `line`.
     #[inline]
     pub(super) fn ensure(&mut self, line: LineId) {
         let need = line as usize + 1;
         if self.flags.len() < need {
             self.flags.resize(need, 0);
-            self.values.resize(need, 0);
-            self.cleans.resize(need, 0);
         }
     }
 
@@ -239,11 +230,6 @@ impl Cache {
     }
 
     #[inline]
-    pub(super) fn value(&self, line: LineId) -> u64 {
-        self.values.get(line as usize).copied().unwrap_or(0)
-    }
-
-    #[inline]
     pub(super) fn flag(&self, line: LineId, bit: u8) -> bool {
         self.flags.get(line as usize).copied().unwrap_or(0) & bit != 0
     }
@@ -251,15 +237,20 @@ impl Cache {
     /// Buffers a transactional write of `v` to the owned `line` (§3.3):
     /// the line becomes Modified (a silent upgrade from E), the first
     /// write in the transaction saves the pre-transaction value for
-    /// rollback, and `F_TW` marks the value uncommitted.
-    pub(super) fn tx_write(&mut self, line: LineId, v: u64) {
+    /// rollback, and `F_TW` marks the value uncommitted. `values` is the
+    /// arena's per-line value array, which the owner alone writes.
+    pub(super) fn tx_write(&mut self, values: &mut [u64], line: LineId, v: u64) {
         self.set_state(line, CState::Modified);
         let i = line as usize;
         if self.flags[i] & F_TW == 0 {
-            self.cleans[i] = self.values[i];
+            let t = self
+                .txn
+                .as_mut()
+                .expect("transactional write outside a txn");
+            t.cleans.push((line, values[i]));
             self.flags[i] |= F_TW;
         }
-        self.values[i] = v;
+        values[i] = v;
     }
 
     /// The line of the request the thread is currently blocked on, if any.
@@ -303,23 +294,25 @@ impl Cache {
     }
 
     /// Ends the running transaction: clears its write marks — restoring
-    /// the pre-transaction values first if `rollback` (an abort) — and
-    /// keeps the set storage for the next `xbegin`. Returns the nesting
-    /// depth it ended at, or `None` outside a transaction.
-    pub(super) fn end_txn(&mut self, rollback: bool) -> Option<u32> {
+    /// the pre-transaction values into `values` first if `rollback` (an
+    /// abort) — and keeps the set storage for the next `xbegin`. Returns
+    /// the nesting depth it ended at, or `None` outside a transaction.
+    pub(super) fn end_txn(&mut self, rollback: bool, values: &mut [u64]) -> Option<u32> {
         let mut t = self.txn.take()?;
-        for &line in t.write_set.iter() {
-            let i = line as usize;
-            if i < self.flags.len() && self.flags[i] & F_TW != 0 {
-                if rollback {
-                    self.values[i] = self.cleans[i];
-                }
-                self.flags[i] &= !F_TW;
+        for &(line, clean) in &t.cleans {
+            let f = &mut self.flags[line as usize];
+            // A marked line is never handed off (`on_fwd` stalls), so
+            // this core still owns it and may restore its value.
+            debug_assert!(*f & F_TW != 0 && decode_state(*f) == CState::Modified);
+            if rollback {
+                values[line as usize] = clean;
             }
+            *f &= !F_TW;
         }
         let depth = t.depth;
         t.read_set.clear();
         t.write_set.clear();
+        t.cleans.clear();
         self.txn_spare = Some(t);
         Some(depth)
     }

@@ -4,7 +4,6 @@
 use super::event::Event;
 use super::{LineId, Sim};
 use crate::msg::{Msg, Node};
-use std::collections::VecDeque;
 
 /// A sorted set of core indices (directory sharer lists). Kept sorted so
 /// invalidations fan out in ascending core order — the same order the
@@ -52,12 +51,11 @@ enum DirState {
     AwaitWb(SharerSet),
 }
 
+/// One line's directory entry: its state and its memory value, 40 B.
 #[derive(Debug)]
 struct DirEntry {
     state: DirState,
     mem: u64,
-    /// Requests that arrived during a transient state, replayed in order.
-    queued: VecDeque<Msg>,
 }
 
 impl Default for DirEntry {
@@ -65,15 +63,21 @@ impl Default for DirEntry {
         DirEntry {
             state: DirState::Invalid,
             mem: 0,
-            queued: VecDeque::new(),
         }
     }
 }
 
-/// The directory (shared LLC slice): a dense array over the line arena.
+/// The directory (shared LLC slice): a dense array of 40 B entries over
+/// the line arena, and one queue for the requests that wait on a
+/// writeback.
 #[derive(Debug, Default)]
 pub(super) struct Directory {
     entries: Vec<DirEntry>,
+    /// Requests that arrived while their line awaited a writeback, in
+    /// arrival order; the line's `WbData` replays its own, in order.
+    /// Only a line in `AwaitWb` has any, so the queue stays short and an
+    /// entry carries none.
+    queued: Vec<(LineId, Msg)>,
 }
 
 impl Directory {
@@ -83,6 +87,16 @@ impl Directory {
             self.entries.resize_with(need, DirEntry::default);
         }
         &mut self.entries[line as usize]
+    }
+
+    /// Moves `line`'s queued requests to `out`, in arrival order.
+    fn take_queued(&mut self, line: LineId, out: &mut Vec<Msg>) {
+        self.queued.retain(|&(l, msg)| {
+            if l == line {
+                out.push(msg);
+            }
+            l != line
+        });
     }
 }
 
@@ -106,11 +120,12 @@ impl Sim {
             self.dir_free_at[home] = self.clock + self.cfg.dir_occupancy;
         }
         let line = self.lines.intern(msg.line());
-        let e = self.dir.entry(line);
         // Queue behind a transient state (except the writeback that
         // resolves it).
-        if matches!(e.state, DirState::AwaitWb(_)) && !matches!(msg, Msg::WbData { .. }) {
-            e.queued.push_back(msg);
+        if matches!(self.dir.entry(line).state, DirState::AwaitWb(_))
+            && !matches!(msg, Msg::WbData { .. })
+        {
+            self.dir.queued.push((line, msg));
             return;
         }
         self.dir_dispatch(from, line, msg);
@@ -202,16 +217,19 @@ impl Sim {
                 };
                 e.mem = value;
                 e.state = DirState::Shared(sharers);
-                // Replay requests that queued behind the writeback. Swap
-                // the bucket into a reusable scratch deque; the replayed
-                // messages are GetS/GetM only (WbData is never queued), so
-                // a replay can re-queue behind a fresh AwaitWb but never
-                // re-enter this arm while the scratch is in use.
-                debug_assert!(self.wb_scratch.is_empty());
-                std::mem::swap(&mut self.wb_scratch, &mut e.queued);
-                while let Some(m) = self.wb_scratch.pop_front() {
+                // Replay requests that queued behind the writeback, from
+                // a reusable scratch vector. The replayed messages are
+                // GetS/GetM only (WbData is never queued), so a replay
+                // can re-queue behind a fresh AwaitWb — after every
+                // request it was queued with has left the queue — but
+                // never re-enters this arm while the scratch is in use.
+                let mut replay = std::mem::take(&mut self.wb_scratch);
+                debug_assert!(replay.is_empty());
+                self.dir.take_queued(line, &mut replay);
+                for m in replay.drain(..) {
                     self.dir_handle(m);
                 }
+                self.wb_scratch = replay;
             }
             other => panic!("directory cannot handle {other:?}"),
         }

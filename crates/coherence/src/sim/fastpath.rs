@@ -141,11 +141,11 @@ impl Sim {
                 if let Some(t) = &mut c.txn {
                     t.read_set.insert(line);
                 }
-                c.value(line)
+                self.lines.values[line as usize]
             }
             OpKind::Write(_, v) => {
                 c.txn.as_mut().unwrap().write_set.insert(line);
-                c.tx_write(line, v);
+                c.tx_write(&mut self.lines.values, line, v);
                 0
             }
             _ => unreachable!("ineligible op admitted to the fast path"),

@@ -44,10 +44,13 @@
 //! ### State layout and the uncontended fast path
 //!
 //! Line addresses are interned into a dense `LineId` arena; everything
-//! keyed per line — cache state/value/write marks, the directory —
-//! is an arena-indexed array rather than a hash map, so the per-operation
-//! hit check is a couple of indexed loads and a 176-core machine's state
-//! stays cache-resident. On top of that layout, `submit_op` decides
+//! keyed per line — the line's value, each cache's state byte, the
+//! directory entry — is an arena-indexed array rather than a hash map, so
+//! the per-operation hit check is a couple of indexed loads. Under the
+//! single-writer model every valid copy of a line holds the same value,
+//! so the arena stores it once: a line costs 8 B of value, 1 B of state
+//! per cache and a 40 B directory entry, and a 176-core machine about
+//! 225 B per line it touches. On top of that layout, `submit_op` decides
 //! uncontended local hits at submission: the state mutation happens
 //! immediately (or is delegated for RMWs) and a single stand-in event —
 //! no directory messages, no inbox traversal, no per-op dispatch —
@@ -77,19 +80,29 @@ use cache::{decode_state, Cache, OpState};
 use directory::Directory;
 use event::{Event, EventQ};
 use simrng::SimRng;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Dense index of an interned line address. Word-granular simulated
-/// memory recycles addresses through `simalloc`, so the arena stays small
-/// even over long runs and dense per-line arrays stay cache-resident.
+/// memory recycles addresses through `simalloc`, so the arena grows only
+/// with the lines a run has touched, and every per-line array is indexed
+/// by it: 8 B of value per line, 1 B of state per cache per line, and a
+/// 40 B directory entry.
 type LineId = u32;
 
-/// The address ⇄ id interner shared by the directory and every cache.
+/// The address ⇄ id interner shared by the directory and every cache,
+/// and beside it each line's one current value.
 #[derive(Debug)]
 struct LineArena {
     ids: FxHashMap<u64, LineId>,
     addrs: Vec<u64>,
+    /// Each line's value, indexed by [`LineId`]. Under the single-writer
+    /// model (§3.1) no core writes a line while another holds a valid
+    /// copy, so every valid copy holds this one value and a cache keeps
+    /// only its state byte. Only the line's M owner writes it, or a fill
+    /// from a message carrying the same value; only a core with a valid
+    /// copy reads it. During the owner's transaction it holds the
+    /// uncommitted datum.
+    values: Vec<u64>,
     /// One-entry lookup memo. Workloads hammer a handful of lines (a
     /// shared counter, a queue's head/tail), so consecutive lookups
     /// usually repeat the previous address; the memo answers them with a
@@ -104,6 +117,7 @@ impl Default for LineArena {
         LineArena {
             ids: FxHashMap::default(),
             addrs: Vec::new(),
+            values: Vec::new(),
             last: (u64::MAX, 0),
         }
     }
@@ -121,6 +135,7 @@ impl LineArena {
         } else {
             let id = self.addrs.len() as LineId;
             self.addrs.push(addr);
+            self.values.push(0);
             self.ids.insert(addr, id);
             id
         };
@@ -243,7 +258,7 @@ pub struct Sim {
     /// Reusable buffer for released stalled messages.
     stall_scratch: Vec<Msg>,
     /// Reusable buffer for directory-queued request replay.
-    wb_scratch: VecDeque<Msg>,
+    wb_scratch: Vec<Msg>,
     /// The component spine (see [`crate::component`]): one live actor
     /// per `MachineConfig::components` spec, at the same index. Ticks
     /// arrive as `Event::CompTick` in ordinary `(time, seq)` order; a
@@ -286,7 +301,7 @@ impl Sim {
             inflight_to: vec![0; ncaches],
             hop_min: cfg.hop_intra.min(cfg.hop_cross),
             stall_scratch: Vec::new(),
-            wb_scratch: VecDeque::new(),
+            wb_scratch: Vec::new(),
             comps,
             cfg,
         };

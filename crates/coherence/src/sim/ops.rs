@@ -111,7 +111,7 @@ impl Sim {
             self.issue_miss(core, line, addr, Waiter::Read);
             return;
         }
-        let v = cache.value(line);
+        let v = self.lines.values[line as usize];
         let done = self.clock + self.cfg.hit_cycles;
         self.resume_at(core, done, OpOutcome::Val(v));
     }
@@ -142,7 +142,7 @@ impl Sim {
         let cache = &mut self.caches[core];
         cache.txn.as_mut().unwrap().write_set.insert(line);
         if owned {
-            cache.tx_write(line, v);
+            cache.tx_write(&mut self.lines.values, line, v);
             let done = self.clock + self.cfg.hit_cycles;
             self.resume_at(core, done, OpOutcome::Val(0));
         } else {
@@ -198,7 +198,7 @@ impl Sim {
         cache.rmw_line = line;
         cache.gen += 1;
         let gen = cache.gen;
-        let value = cache.value(line);
+        let value = self.lines.values[line as usize];
         debug_assert!(
             !cache.pending_on(line),
             "RMW on a line with an in-flight request"
@@ -228,7 +228,7 @@ impl Sim {
                 .pending_remove(line)
                 .expect("rmw_done without pending");
             debug_assert_eq!(p.line, line);
-            let cur = cache.value(line);
+            let cur = self.lines.values[line as usize];
             let (result, newval) = match p.waiter.expect("rmw_done without waiter") {
                 Waiter::Read => (cur, cur),
                 Waiter::Write(v) => (0, v),
@@ -243,8 +243,7 @@ impl Sim {
                 Waiter::Swap(v) => (cur, v),
                 Waiter::TxWrite(_) => unreachable!("tx writes do not use rmw_done"),
             };
-            cache.ensure(line);
-            cache.values[line as usize] = newval;
+            self.lines.values[line as usize] = newval;
             result
         };
         self.resume_at(core, self.clock, OpOutcome::Val(result));
@@ -310,7 +309,7 @@ impl Sim {
             return;
         }
         self.caches[core]
-            .end_txn(false)
+            .end_txn(false, &mut self.lines.values)
             .expect("commit without txn");
         self.stats.tx_commits += 1;
         self.trace_tx(core, "commit", 0);
@@ -331,7 +330,7 @@ impl Sim {
     /// op is reported at issue as usual (the handler overlaps the time
     /// the op was queued anyway).
     pub(super) fn abort_txn_at(&mut self, core: usize, status: u32, extra: u64) {
-        let Some(depth) = self.caches[core].end_txn(true) else {
+        let Some(depth) = self.caches[core].end_txn(true, &mut self.lines.values) else {
             return;
         };
         let mut status = status | txn::RETRY;

@@ -85,8 +85,11 @@ impl Sim {
             } else {
                 CState::Shared
             };
+            // A reply carries the line's value: no core writes a line
+            // while a copy of it is valid or on its way (but see `on_inv`).
+            debug_assert_eq!(self.lines.values[line as usize], p.value);
             cache.flags[line as usize] = s as u8; // also clears the write mark
-            cache.values[line as usize] = p.value;
+            self.lines.values[line as usize] = p.value;
         }
 
         match p.waiter {
@@ -117,7 +120,7 @@ impl Sim {
                 // commit/abort — see the commit-atomicity note in the
                 // `sim` module docs.
                 debug_assert!(self.caches[core].in_txn());
-                self.caches[core].tx_write(line, v);
+                self.caches[core].tx_write(&mut self.lines.values, line, v);
                 self.resume_at(core, self.clock, OpOutcome::Val(0));
             }
             // A non-transactional RMW/store: execute it now (the §3.2
@@ -134,6 +137,16 @@ impl Sim {
         let conflict = {
             let cache = &mut self.caches[core];
             let conflict = cache.txn_reads(line) || cache.txn_writes(line);
+            // Only sharers are invalidated; an owner is sent a Fwd. A
+            // reader's reply reaches it before any later Inv, unless an Inv
+            // overtakes a DataOwner: the IS^D→I race, which the engine does
+            // not model. The two-latency hop model allows that only when
+            // `hop_intra > 2 × hop_cross`.
+            debug_assert!(
+                !cache.state(line).writable()
+                    && !cache.pending.iter().any(|p| p.line == line && !p.is_getm),
+                "Inv for {addr:#x} reached core {core}, which owns it or awaits it as a reader"
+            );
             if (line as usize) < cache.flags.len() {
                 cache.set_state(line, CState::Invalid);
             }
@@ -208,7 +221,7 @@ impl Sim {
                 CState::Shared
             };
             cache.set_state(line, next);
-            cache.value(line)
+            self.lines.values[line as usize]
         };
         self.send(
             Node::Core(core),
