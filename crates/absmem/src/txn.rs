@@ -42,8 +42,8 @@ pub const CAPACITY: u32 = 1 << 4;
 /// running. TxCAS uses this to learn that the CAS write step had not yet
 /// executed.
 pub const NESTED: u32 = 1 << 5;
-/// Abort status bit: an external preemption/interrupt component (see
-/// `coherence::component::InterruptSource`) parked the core mid-transaction.
+/// Abort status bit: an external preemption/interrupt component (the
+/// simulator's `ComponentSpec::Interrupt`) parked the core mid-transaction.
 /// Unlike [`SPURIOUS`] (a probabilistic commit-time model), an interrupt
 /// abort is injected at a scheduled machine time, independently of what the
 /// victim transaction is doing. Always paired with [`RETRY`].

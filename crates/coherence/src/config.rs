@@ -8,8 +8,9 @@
 //! One field table gives [`MachineConfig`] its exact `key=value` text
 //! form, which `simctl`'s machine keys and the fuzz reproducer share.
 
-/// Nominal clock, GHz, used to convert simulated cycles to nanoseconds.
-pub const GHZ: f64 = 2.2;
+/// Nominal clock, GHz, used to convert simulated cycles to nanoseconds:
+/// the one the native backend's `delay` also assumes.
+pub use absmem::native::GHZ;
 
 /// Converts simulated cycles to nanoseconds at the nominal clock.
 pub fn cycles_to_ns(cycles: u64) -> f64 {
@@ -22,12 +23,12 @@ pub fn ns_to_cycles(ns: f64) -> u64 {
 }
 
 /// Declarative description of one non-core actor on the machine's
-/// discrete-event component spine (built into a live
-/// `coherence::component::Component` by `Sim::new`). All fields are plain
-/// integers, so a spec round-trips exactly through the machine's text
-/// form (`interrupt:PERIOD:START:COST:VICTIM` with `rr` for a round-robin
-/// victim, or `tick-gate:CORE:PERIOD:START:COUNT`); an empty spec list
-/// leaves the simulator byte-identical to the pre-component machine.
+/// discrete-event component spine, which the engine ticks as ordinary
+/// events. All fields are plain integers, so a spec round-trips exactly
+/// through the machine's text form (`interrupt:PERIOD:START:COST:VICTIM`
+/// with `rr` for a round-robin victim, or
+/// `tick-gate:CORE:PERIOD:START:COUNT`); an empty spec list leaves the
+/// simulator byte-identical to the pre-component machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ComponentSpec {
     /// A periodic preemption/interrupt source. Every `period` cycles
@@ -134,15 +135,6 @@ pub struct MachineConfig {
     /// Cost of a committing `_xend`, cycles (on top of waiting for the
     /// write's GetM to complete).
     pub xend_cycles: u64,
-    /// Grant the MESI Exclusive state on a sole-reader GetS, letting the
-    /// owner upgrade to Modified silently (no GetM) on its first write.
-    /// The paper's analysis is protocol-family-independent ("applies to
-    /// the MOESI and MESIF protocols used commercially", §3.1); this flag
-    /// exists to demonstrate that: contended behaviour — the subject of
-    /// every figure — is unchanged, only uncontended read-then-write
-    /// sequences save a directory round trip. Default off so the
-    /// calibrated baseline stays the paper's MSI model.
-    pub mesi_exclusive: bool,
     /// Enable the paper's §3.4.1 microarchitectural fix: a Fwd-GetS that
     /// reaches a core blocked in `_xend` with a single pending GetM is
     /// stalled until the transaction commits instead of aborting it.
@@ -181,7 +173,7 @@ pub struct MachineConfig {
     /// Record a full message/transaction trace (costly; for the Figure 2/3
     /// reproductions and debugging).
     pub trace: bool,
-    /// Check the single-writer/multi-reader invariant (at most one M/E
+    /// Check the single-writer/multi-reader invariant (at most one M
     /// holder per line) by scanning every cache's lines once every 64
     /// events. On by default in debug builds.
     pub check_invariants: bool,
@@ -210,7 +202,6 @@ impl Default for MachineConfig {
             alloc_cycles: 30,
             xbegin_cycles: 12,
             xend_cycles: 12,
-            mesi_exclusive: false,
             microarch_fix: false,
             spurious_abort_ppm: 0,
             tx_capacity_lines: 0,
@@ -333,13 +324,30 @@ impl MachineConfig {
     }
 
     /// Checks what the simulator needs to run: nonzero `cores` and
-    /// `cores_per_socket`, and components with nonzero periods whose
+    /// `cores_per_socket`, on more than one socket a `hop_intra` of at
+    /// most twice `hop_cross`, and components with nonzero periods whose
     /// cores exist. `Sim::new` panics on an error; tools report it.
+    ///
+    /// The hop bound keeps a reader's DataOwner ahead of any Inv for the
+    /// same line. The directory sends that Inv only once the owner's
+    /// writeback has reached it, so the Inv arrives at least two hops
+    /// after the owner sent the DataOwner; a one-hop DataOwner slower
+    /// than those two hops would be overtaken, the IS^D→I race the
+    /// engine does not model. At equality the DataOwner, pushed first,
+    /// wins the tie.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 || self.cores_per_socket == 0 {
             return Err(format!(
                 "cores ({}) and cores-per-socket ({}) must be positive",
                 self.cores, self.cores_per_socket
+            ));
+        }
+        if self.sockets() > 1 && self.hop_intra > self.hop_cross.saturating_mul(2) {
+            return Err(format!(
+                "hop-intra ({}) must be at most 2 × hop-cross ({}) on a multi-socket \
+                 machine: a slower intra-socket hop lets an Inv overtake a reader's \
+                 data, which the engine does not model",
+                self.hop_intra, self.hop_cross
             ));
         }
         for c in &self.components {
@@ -399,8 +407,8 @@ macro_rules! fields {
 fields! {
     cores, cores_per_socket, hop_intra, hop_cross, home_policy, dir_occupancy, cache_occupancy,
     delay_jitter_pct, hit_cycles, rmw_cycles, op_cycles, alloc_cycles, xbegin_cycles,
-    xend_cycles, mesi_exclusive, microarch_fix, spurious_abort_ppm, tx_capacity_lines,
-    sched_perturb, seed, fast_path, trace, check_invariants, components,
+    xend_cycles, microarch_fix, spurious_abort_ppm, tx_capacity_lines, sched_perturb, seed,
+    fast_path, trace, check_invariants, components,
 }
 
 /// A field value's text form; `parse(&v.render()) == Some(v)`.
@@ -576,11 +584,13 @@ mod tests {
                 },
             })
             .collect();
+        let hop_intra = r(0, 200);
         MachineConfig {
             cores,
             cores_per_socket: r(1, cores as u64) as usize,
-            hop_intra: r(0, 200),
-            hop_cross: r(0, u64::MAX),
+            hop_intra,
+            // Inside the hop bound `validate` enforces.
+            hop_cross: r(hop_intra.div_ceil(2), u64::MAX),
             home_policy: POLICIES[r(0, 2) as usize],
             dir_occupancy: r(0, 16),
             cache_occupancy: r(0, 16),
@@ -591,7 +601,6 @@ mod tests {
             alloc_cycles: r(0, 100),
             xbegin_cycles: r(0, 40),
             xend_cycles: r(0, 40),
-            mesi_exclusive: r(0, 1) == 1,
             microarch_fix: r(0, 1) == 1,
             spurious_abort_ppm: r(0, 1_000_000),
             tx_capacity_lines: r(0, 64) as usize,
@@ -633,6 +642,27 @@ mod tests {
         let seed = format!("seed={}\n", MachineConfig::default().seed);
         assert!(err(&good.replace(&seed, "")).contains("missing machine key `seed`"));
         assert!(err(&good.replace("cores=4\n", "cores=0\n")).contains("must be positive"));
+        let dual = MachineConfig {
+            hop_intra: 21,
+            hop_cross: 10,
+            ..MachineConfig::dual_socket(2)
+        };
+        let bound = "hop-intra (21) must be at most 2 × hop-cross (10)";
+        assert!(err(&dual.to_text()).contains(bound));
+        let tie = MachineConfig {
+            hop_intra: 20,
+            ..dual.clone()
+        };
+        assert_eq!(
+            MachineConfig::from_text(&tie.to_text()),
+            Ok(tie),
+            "equality is legal"
+        );
+        let one_socket = MachineConfig {
+            cores_per_socket: 4,
+            ..dual
+        };
+        assert!(one_socket.validate().is_ok(), "one socket has no cross hop");
         let with = |c: &str| good.replace("components=", &format!("components={c}"));
         assert!(err(&with("interrupt:0:5:5:rr")).contains("period must be nonzero"));
         assert!(err(&with("tick-gate:4:100:0:0")).contains("core 4 is out of range"));

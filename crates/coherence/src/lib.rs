@@ -55,7 +55,6 @@
 //! assert_eq!(report.stats.op("faa"), 400);
 //! ```
 
-pub mod component;
 pub mod config;
 #[cfg(target_arch = "x86_64")]
 pub mod fiber;
@@ -65,8 +64,6 @@ pub mod msg;
 pub mod sim;
 pub mod stats;
 
-pub use component::Component;
 pub use config::{cycles_to_ns, ns_to_cycles, ComponentSpec, HomePolicy, MachineConfig, GHZ};
 pub use machine::{Machine, Program, SimCtx};
-pub use sim::CompCtx;
 pub use stats::{RunReport, Stats, TraceEvent};

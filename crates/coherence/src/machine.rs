@@ -515,14 +515,13 @@ impl HtmOps for SimCtx {
 
 /// The simulated multicore machine.
 ///
-/// Owns the simulated-memory allocator (pool plus per-core thread
-/// caches), so repeated [`Machine::run`] calls on one machine reuse the
-/// allocator state instead of rebuilding it per phase. The configuration
-/// is behind an `Arc` and shared with the engine rather than cloned.
+/// Owns the simulated-memory allocator (per-core thread caches, each
+/// holding the shared pool), so repeated [`Machine::run`] calls on one
+/// machine reuse the allocator state instead of rebuilding it per phase.
+/// The configuration is behind an `Arc` and shared with the engine
+/// rather than cloned.
 pub struct Machine {
     cfg: Arc<MachineConfig>,
-    #[allow(dead_code)]
-    pool: Arc<WordPool>,
     alloc_caches: Vec<ThreadCache>,
 }
 
@@ -533,11 +532,7 @@ impl Machine {
         let pool = Arc::new(WordPool::new(8));
         // +1 for the bootstrap core used by the setup phase.
         let alloc_caches: Vec<ThreadCache> = (0..=cfg.cores).map(|_| pool.thread_cache()).collect();
-        Machine {
-            cfg,
-            pool,
-            alloc_caches,
-        }
+        Machine { cfg, alloc_caches }
     }
 
     /// Runs `setup` to completion on the bootstrap core (socket 0), then

@@ -29,13 +29,7 @@ pub enum Msg {
     GetM { line: u64, from: usize },
     /// Dir → Core: data response. `acks` is the number of `InvAck`s the
     /// requester must collect before its GetM completes (0 for GetS).
-    /// `excl` grants the MESI Exclusive state to a sole reader.
-    Data {
-        line: u64,
-        value: u64,
-        acks: u64,
-        excl: bool,
-    },
+    Data { line: u64, value: u64, acks: u64 },
     /// Dir → sharer: invalidate your Shared copy and ack to `requester`.
     Inv { line: u64, requester: usize },
     /// Sharer → requester: invalidation acknowledgement.

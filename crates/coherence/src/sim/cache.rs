@@ -41,16 +41,13 @@ impl LineSet {
 pub(super) enum CState {
     Invalid = 0,
     Shared = 1,
-    /// MESI Exclusive: sole clean copy; silent upgrade to Modified on
-    /// write (only granted when `MachineConfig::mesi_exclusive` is set).
-    Exclusive = 2,
-    Modified = 3,
+    Modified = 2,
 }
 
 impl CState {
     /// Can the holder write without a coherence transaction?
     pub(super) fn writable(self) -> bool {
-        matches!(self, CState::Exclusive | CState::Modified)
+        self == CState::Modified
     }
 }
 
@@ -67,7 +64,6 @@ pub(super) fn decode_state(flags: u8) -> CState {
     match flags & F_STATE {
         0 => CState::Invalid,
         1 => CState::Shared,
-        2 => CState::Exclusive,
         _ => CState::Modified,
     }
 }
@@ -101,8 +97,6 @@ pub(super) struct PendingReq {
     pub(super) value: u64,
     pub(super) acks_expected: Option<u64>,
     pub(super) acks_got: u64,
-    /// The directory granted Exclusive on this (GetS) response.
-    pub(super) got_excl: bool,
     /// `None` once the issuing transaction aborted: the request finishes
     /// headless (the cache still takes ownership — §3.3's pending-GetM
     /// effect — but no thread is resumed).
@@ -235,12 +229,11 @@ impl Cache {
     }
 
     /// Buffers a transactional write of `v` to the owned `line` (§3.3):
-    /// the line becomes Modified (a silent upgrade from E), the first
-    /// write in the transaction saves the pre-transaction value for
-    /// rollback, and `F_TW` marks the value uncommitted. `values` is the
-    /// arena's per-line value array, which the owner alone writes.
+    /// the first write in the transaction saves the pre-transaction value
+    /// for rollback, and `F_TW` marks the value uncommitted. `values` is
+    /// the arena's per-line value array, which the owner alone writes.
     pub(super) fn tx_write(&mut self, values: &mut [u64], line: LineId, v: u64) {
-        self.set_state(line, CState::Modified);
+        debug_assert_eq!(self.state(line), CState::Modified);
         let i = line as usize;
         if self.flags[i] & F_TW == 0 {
             let t = self

@@ -40,10 +40,6 @@ impl SharerSet {
 enum DirState {
     Invalid,
     Shared(SharerSet),
-    /// Sole clean-or-dirty owner under MESI-E; the directory cannot tell
-    /// E from M after a silent upgrade, so it forwards requests exactly
-    /// as for Modified.
-    Exclusive(usize),
     Modified(usize),
     /// Transient: a Fwd-GetS was sent to the previous owner and the
     /// directory is waiting for its writeback before serving further
@@ -137,25 +133,14 @@ impl Sim {
         let mem = e.mem;
         match msg {
             Msg::GetS { .. } => {
-                // Move the state out instead of cloning it; every arm
-                // writes the successor state back.
-                let excl = match std::mem::replace(&mut e.state, DirState::Invalid) {
-                    DirState::Invalid => {
-                        // Sole reader: grant Exclusive under MESI-E.
-                        let excl = self.cfg.mesi_exclusive;
-                        e.state = if excl {
-                            DirState::Exclusive(from)
-                        } else {
-                            DirState::Shared(SharerSet::one(from))
-                        };
-                        excl
-                    }
+                // Move the state out instead of cloning it.
+                let sharers = match std::mem::replace(&mut e.state, DirState::Invalid) {
+                    DirState::Invalid => SharerSet::one(from),
                     DirState::Shared(mut s) => {
                         s.insert(from);
-                        e.state = DirState::Shared(s);
-                        false
+                        s
                     }
-                    DirState::Exclusive(owner) | DirState::Modified(owner) => {
+                    DirState::Modified(owner) => {
                         assert_ne!(owner, from, "owner re-requesting GetS");
                         e.state = DirState::AwaitWb(SharerSet::two(owner, from));
                         self.send(
@@ -170,7 +155,8 @@ impl Sim {
                     }
                     DirState::AwaitWb(_) => unreachable!("queued in dir_handle"),
                 };
-                self.send_data(from, addr, mem, 0, excl);
+                e.state = DirState::Shared(sharers);
+                self.send_data(from, addr, mem, 0);
             }
             Msg::GetM { .. } => {
                 // An Invalid line is a Shared one with no sharers: no
@@ -178,7 +164,7 @@ impl Sim {
                 let sharers = match std::mem::replace(&mut e.state, DirState::Modified(from)) {
                     DirState::Invalid => SharerSet::default(),
                     DirState::Shared(s) => s,
-                    DirState::Exclusive(owner) | DirState::Modified(owner) => {
+                    DirState::Modified(owner) => {
                         assert_ne!(owner, from, "owner re-requesting GetM");
                         self.send(
                             Node::Dir,
@@ -196,7 +182,7 @@ impl Sim {
                 // The data response and all invalidations leave
                 // back-to-back: the concurrency that makes HTM CAS
                 // failures scale (§3.3).
-                self.send_data(from, addr, mem, acks, false);
+                self.send_data(from, addr, mem, acks);
                 for &c in sharers.iter() {
                     if c != from {
                         self.send(
@@ -237,17 +223,8 @@ impl Sim {
 
     /// The directory's data response: `line`'s memory value to core
     /// `to`, which must collect `acks` invalidation acks before its GetM
-    /// completes; `excl` grants a sole reader MESI Exclusive.
-    fn send_data(&mut self, to: usize, line: u64, value: u64, acks: u64, excl: bool) {
-        self.send(
-            Node::Dir,
-            Node::Core(to),
-            Msg::Data {
-                line,
-                value,
-                acks,
-                excl,
-            },
-        );
+    /// completes.
+    fn send_data(&mut self, to: usize, line: u64, value: u64, acks: u64) {
+        self.send(Node::Dir, Node::Core(to), Msg::Data { line, value, acks });
     }
 }

@@ -33,9 +33,9 @@ pub(super) enum Event {
         line: LineId,
         waiter: Waiter,
     },
-    /// Component `comp`'s scheduled tick is due (see
-    /// [`crate::component`]). Never pushed when no components are
-    /// configured, so the component-free event stream is unchanged.
+    /// Component `comp`'s scheduled tick is due (see `Sim::comp_tick`).
+    /// Never pushed when no components are configured, so the
+    /// component-free event stream is unchanged.
     CompTick { comp: u32 },
 }
 
@@ -220,18 +220,6 @@ impl EventQ {
         clock + (slot.wrapping_sub(clock) % WHEEL)
     }
 
-    /// Time of the earliest event, without removing it. `clock` is the
-    /// simulator's current time; no event is ever scheduled in the past.
-    fn next_time(&self, clock: u64) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        match self.scan(clock) {
-            Some(slot) => Some(Self::slot_time(clock, slot)),
-            None => Some(self.far.peek().expect("len counted a missing event").time),
-        }
-    }
-
     /// Removes and returns the earliest event. `clock` is the simulator's
     /// current time; no event is ever scheduled in the past.
     pub(super) fn pop(&mut self, clock: u64) -> Option<(u64, Event)> {
@@ -352,11 +340,6 @@ pub mod testhooks {
         /// Current clock (time of the last popped event).
         pub fn clock(&self) -> u64 {
             self.clock
-        }
-
-        /// Time of the earliest queued event, if any.
-        pub fn peek_time(&self) -> Option<u64> {
-            self.q.next_time(self.clock)
         }
 
         /// Schedules `payload` at `time` (must be `>= clock()`).

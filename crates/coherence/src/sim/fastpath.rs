@@ -22,8 +22,8 @@ impl Sim {
     ///
     /// * the core is quiescent — no pending requests, no stalled
     ///   messages, no RMW window, no deferred op, no pending abort;
-    /// * the op is a pure local hit (S/E/M read; E/M write or RMW outside
-    ///   a transaction; transactional read, or transactional write with
+    /// * the op is a pure local hit (S/M read; M write or RMW outside a
+    ///   transaction; transactional read, or transactional write with
     ///   ownership held) that sends no messages on the slow path;
     /// * no coherence message can reach this core before the issue time
     ///   `t`: none is in flight to it (`inflight_to == 0`), and any

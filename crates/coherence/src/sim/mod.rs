@@ -26,7 +26,7 @@
 //! the messages a cache receives, with every Fwd stall rule in
 //! `on_fwd`; `directory` serializes requests per line; `fastpath` decides
 //! local hits at submission through the same `cache` and capacity
-//! functions; and `spine` runs the configured components.
+//! functions; and `spine` ticks the configured components.
 //!
 //! ### Commit atomicity
 //!
@@ -69,9 +69,7 @@ mod protocol;
 mod spine;
 
 pub use event::testhooks;
-pub use spine::CompCtx;
 
-use crate::component::{self, Component};
 use crate::config::{HomePolicy, MachineConfig};
 use crate::fxhash::FxHashMap;
 use crate::msg::{Msg, Node};
@@ -259,11 +257,10 @@ pub struct Sim {
     stall_scratch: Vec<Msg>,
     /// Reusable buffer for directory-queued request replay.
     wb_scratch: Vec<Msg>,
-    /// The component spine (see [`crate::component`]): one live actor
-    /// per `MachineConfig::components` spec, at the same index. Ticks
-    /// arrive as `Event::CompTick` in ordinary `(time, seq)` order; a
-    /// component is taken out of its slot while it ticks.
-    comps: Vec<Option<Box<dyn Component>>>,
+    /// The component spine's one piece of state: how often each
+    /// `MachineConfig::components` entry has fired, at the same index.
+    /// Ticks arrive as `Event::CompTick` in ordinary `(time, seq)` order.
+    comp_fired: Vec<u64>,
 }
 
 impl Sim {
@@ -273,13 +270,6 @@ impl Sim {
         // +1 for the bootstrap core used by the setup phase.
         let ncaches = cfg.cores + 1;
         let caches = (0..ncaches).map(|c| Cache::new(cfg.socket_of(c))).collect();
-        // Components register in declaration order, which (with the
-        // shared seq counter) fixes the firing order of same-cycle ticks.
-        let comps = cfg
-            .components
-            .iter()
-            .map(|spec| Some(component::build(spec)))
-            .collect();
         let nsockets = cfg.sockets();
         let mut sim = Sim {
             rng: SimRng::seed_from_u64(cfg.seed),
@@ -302,18 +292,10 @@ impl Sim {
             hop_min: cfg.hop_intra.min(cfg.hop_cross),
             stall_scratch: Vec::new(),
             wb_scratch: Vec::new(),
-            comps,
+            comp_fired: vec![0; cfg.components.len()],
             cfg,
         };
-        // Schedule every component's first tick. With no components this
-        // pushes nothing, so the seq stream — and every determinism
-        // golden — is untouched.
-        for i in 0..sim.comps.len() {
-            let first = sim.comps[i].as_ref().and_then(|c| c.next_tick(0));
-            if let Some(t) = first {
-                sim.push(t, Event::CompTick { comp: i as u32 });
-            }
-        }
+        sim.schedule_components();
         sim
     }
 
@@ -553,7 +535,7 @@ impl Sim {
                 if decode_state(f).writable() {
                     if let Some(prev) = owners[line].replace(i) {
                         let addr = self.lines.addrs[line];
-                        panic!("line {addr:#x}: two M/E holders: C{prev} and C{i}");
+                        panic!("line {addr:#x}: two M holders: C{prev} and C{i}");
                     }
                 }
             }

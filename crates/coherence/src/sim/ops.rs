@@ -164,7 +164,6 @@ impl Sim {
             value: 0,
             acks_expected: None,
             acks_got: 0,
-            got_excl: false,
             waiter: Some(waiter),
         });
         cache.op_state = OpState::PendingWait;
@@ -182,10 +181,9 @@ impl Sim {
         self.send(Node::Core(core), Node::Dir, msg);
     }
 
-    /// Begins executing an RMW/store on an owned line — M, or E silently
-    /// upgraded by the store (MESI-E). Incoming Fwd requests stall until
-    /// `rmw_done` (§3.2: the core defers coherence messages that would
-    /// revoke ownership until the RMW completes).
+    /// Begins executing an RMW/store on an owned (M) line. Incoming Fwd
+    /// requests stall until `rmw_done` (§3.2: the core defers coherence
+    /// messages that would revoke ownership until the RMW completes).
     pub(super) fn start_rmw(&mut self, core: usize, line: LineId, waiter: Waiter) {
         let cost = match waiter {
             Waiter::Write(_) => self.cfg.hit_cycles,
@@ -193,7 +191,6 @@ impl Sim {
         };
         let cache = &mut self.caches[core];
         debug_assert!(cache.state(line).writable());
-        cache.set_state(line, CState::Modified);
         cache.rmw_busy = true;
         cache.rmw_line = line;
         cache.gen += 1;
@@ -210,7 +207,6 @@ impl Sim {
             value,
             acks_expected: Some(0),
             acks_got: 0,
-            got_excl: false,
             waiter: Some(waiter),
         });
         cache.op_state = OpState::RmwExec;

@@ -32,10 +32,8 @@ impl Sim {
         }
         let line = self.lines.intern(msg.line());
         match msg {
-            Msg::Data {
-                value, acks, excl, ..
-            } => self.on_data(core, line, value, acks, excl),
-            Msg::DataOwner { value, .. } => self.on_data(core, line, value, 0, false),
+            Msg::Data { value, acks, .. } => self.on_data(core, line, value, acks),
+            Msg::DataOwner { value, .. } => self.on_data(core, line, value, 0),
             Msg::InvAck { .. } => {
                 let p = self.caches[core]
                     .pending_get_mut(line)
@@ -49,11 +47,10 @@ impl Sim {
         }
     }
 
-    fn on_data(&mut self, core: usize, line: LineId, value: u64, acks: u64, excl: bool) {
+    fn on_data(&mut self, core: usize, line: LineId, value: u64, acks: u64) {
         let p = self.caches[core].pending_get_mut(line).expect("stray Data");
         p.have_data = true;
         p.value = value;
-        p.got_excl = excl;
         // DataOwner carries no ack expectation; Data from the directory
         // does. Both paths may deliver acks before data, so only overwrite
         // if unset (the directory message is authoritative).
@@ -80,8 +77,6 @@ impl Sim {
             cache.ensure(line);
             let s = if p.is_getm {
                 CState::Modified
-            } else if p.got_excl {
-                CState::Exclusive
             } else {
                 CState::Shared
             };
@@ -138,10 +133,11 @@ impl Sim {
             let cache = &mut self.caches[core];
             let conflict = cache.txn_reads(line) || cache.txn_writes(line);
             // Only sharers are invalidated; an owner is sent a Fwd. A
-            // reader's reply reaches it before any later Inv, unless an Inv
-            // overtakes a DataOwner: the IS^D→I race, which the engine does
-            // not model. The two-latency hop model allows that only when
-            // `hop_intra > 2 × hop_cross`.
+            // reader's reply reaches it before any later Inv: an Inv
+            // overtaking a DataOwner is the IS^D→I race, which the engine
+            // does not model, and `MachineConfig::validate` rejects the
+            // only hop geometry that allows it (`hop_intra > 2 ×
+            // hop_cross` on more than one socket).
             debug_assert!(
                 !cache.state(line).writable()
                     && !cache.pending.iter().any(|p| p.line == line && !p.is_getm),

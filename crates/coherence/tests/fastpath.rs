@@ -258,7 +258,6 @@ fn randomized_workload(seed: u64, fast_path: bool) -> RunReport {
         0
     };
     cfg.microarch_fix = rng.gen_bool(0.5);
-    cfg.mesi_exclusive = rng.gen_bool(0.5);
     cfg.seed = rng.next_u64();
     // Drawn after every older knob, so each seed keeps its earlier
     // machine and only gains these: NUMA homes, an interrupt source

@@ -29,7 +29,6 @@
 
 use absmem::txn::{self, nested, transaction, HtmOps};
 use absmem::{Addr, CasStrategy};
-use std::cell::RefCell;
 
 /// Tuning parameters for TxCAS.
 #[derive(Debug, Clone, Copy)]
@@ -141,50 +140,23 @@ pub fn txn_cas<C: HtmOps>(
     }
 }
 
-/// [`CasStrategy`] plugging TxCAS into the modular baskets queue. Keeps
-/// per-thread stats behind a `Cell`-based accumulator so the strategy can
-/// be shared immutably.
-#[derive(Debug)]
+/// [`CasStrategy`] plugging TxCAS into the modular baskets queue.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TxCas {
     /// Tuning parameters.
     pub params: TxCasParams,
-    stats: RefCell<TxCasStats>,
-}
-
-impl Clone for TxCas {
-    fn clone(&self) -> Self {
-        TxCas {
-            params: self.params,
-            stats: RefCell::new(self.stats.borrow().clone()),
-        }
-    }
 }
 
 impl TxCas {
     /// Creates the strategy with the given parameters.
     pub fn new(params: TxCasParams) -> Self {
-        TxCas {
-            params,
-            stats: RefCell::new(TxCasStats::default()),
-        }
-    }
-
-    /// Returns a copy of the accumulated statistics.
-    pub fn take_stats(&self) -> TxCasStats {
-        self.stats.borrow().clone()
-    }
-}
-
-impl Default for TxCas {
-    fn default() -> Self {
-        TxCas::new(TxCasParams::default())
+        TxCas { params }
     }
 }
 
 impl<C: HtmOps> CasStrategy<C> for TxCas {
     fn cas(&self, ctx: &mut C, a: Addr, old: u64, new: u64) -> bool {
-        let mut stats = self.stats.borrow_mut();
-        txn_cas(ctx, &self.params, a, old, new, &mut stats)
+        txn_cas(ctx, &self.params, a, old, new, &mut TxCasStats::default())
     }
 }
 

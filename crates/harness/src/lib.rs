@@ -7,9 +7,9 @@
 //! | layer | owns |
 //! |-------|------|
 //! | `absmem` | the word-addressed memory model: [`absmem::ThreadCtx`], CAS strategies, the transactional interface [`absmem::txn`], the native substrate |
-//! | `coherence` | the simulated substrate: MESI machine, HTM, `SimCtx` |
+//! | `coherence` | the simulated substrate: MSI machine, HTM, `SimCtx` |
 //! | `core`/`sbq`/`baselines` | queue algorithms, generic over `ThreadCtx` |
-//! | **`harness`** (this crate) | *running* queues: [`Backend`], the [`QueueKind`] adapters, history recording, delay calibration |
+//! | **`harness`** (this crate) | *running* queues: [`Backend`], the [`QueueKind`] adapters, history recording |
 //! | `bench`/`simfuzz`/top-level tests | workloads, fuzzing, and suites written **once** against this crate |
 //!
 //! The pieces:
@@ -28,11 +28,8 @@
 //! - [`scenario`]: component-driven end-to-end scenarios (preemption,
 //!   timer-paced consumer, DMA-style bulk enqueuer) over the simulator's
 //!   component spine, with deterministic summaries for CI diffing.
-//! - [`calibrate`]: the shared native busy-wait calibration behind
-//!   `ThreadCtx::delay`.
 
 pub mod backend;
-pub mod calibrate;
 pub mod history;
 pub mod queues;
 pub mod scenario;

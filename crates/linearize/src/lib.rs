@@ -339,11 +339,6 @@ impl Recorder {
         });
     }
 
-    /// Consumes the recorder, returning its events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-
     /// Merges several per-thread recorders into one history.
     pub fn merge(recorders: impl IntoIterator<Item = Recorder>) -> Vec<Event> {
         recorders.into_iter().flat_map(|r| r.events).collect()

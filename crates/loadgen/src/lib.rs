@@ -35,4 +35,4 @@ pub mod sweep;
 pub use knee::{find_knee, Knee, KneeProbe, KneeReason};
 pub use plan::{ArrivalPattern, LoadPlan, CLOCK_HZ};
 pub use stage::{machine_for, run_load, run_load_on, LoadPoint, LoadRun};
-pub use sweep::{default_rates, run_sweep, to_json, to_tsv, SweepResult, SweepSpec};
+pub use sweep::{check_json, default_rates, run_sweep, to_json, to_tsv, SweepResult, SweepSpec};

@@ -12,6 +12,7 @@ use crate::knee::{find_knee, Knee, KneeProbe};
 use crate::plan::LoadPlan;
 use crate::stage::{run_load, LoadPoint};
 use harness::{BackendKind, QueueKind};
+use obs::json::Value;
 
 /// One sweep: a base plan whose `rate_rps` is overridden per point.
 #[derive(Debug, Clone)]
@@ -228,6 +229,82 @@ pub fn to_json(r: &SweepResult) -> String {
     s
 }
 
+/// Checks an `sbq-loadgen-v1` document, as [`to_json`] writes it: the
+/// schema tag, a non-empty `points` array whose every point has ordered
+/// e2e percentiles and completed all `requests`, strictly ascending
+/// offered rates, and a knee that is `null` or names a probed rate and a
+/// known reason. Returns a one-line description of a valid document, or
+/// what is wrong with it.
+pub fn check_json(doc: &Value) -> Result<String, String> {
+    match doc.get("schema").and_then(Value::as_str) {
+        Some("sbq-loadgen-v1") => {}
+        other => return Err(format!("schema {other:?}, expected \"sbq-loadgen-v1\"")),
+    }
+    let requests = doc
+        .get("requests")
+        .and_then(Value::as_num)
+        .ok_or("missing numeric \"requests\"")?;
+    let points = doc
+        .get("points")
+        .and_then(Value::as_arr)
+        .ok_or("missing \"points\" array")?;
+    if points.is_empty() {
+        return Err("empty \"points\" array".into());
+    }
+    let mut rates = Vec::new();
+    for (i, p) in points.iter().enumerate() {
+        let field = |key: &str| {
+            p.get(key)
+                .and_then(Value::as_num)
+                .ok_or_else(|| format!("point {i}: missing numeric \"{key}\""))
+        };
+        let (p50, p99, p999, max) = (
+            field("e2e_p50_ns")?,
+            field("e2e_p99_ns")?,
+            field("e2e_p999_ns")?,
+            field("e2e_max_ns")?,
+        );
+        if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
+            return Err(format!(
+                "point {i}: e2e percentiles out of order: \
+                 p50={p50} p99={p99} p999={p999} max={max}"
+            ));
+        }
+        let completed = field("completed")?;
+        if completed != requests {
+            return Err(format!(
+                "point {i}: completed {completed} != requests {requests} \
+                 (open loop must drain fully)"
+            ));
+        }
+        rates.push(field("offered_rps")?);
+    }
+    if rates.windows(2).any(|w| w[0] >= w[1]) {
+        return Err("offered_rps not strictly ascending".into());
+    }
+    let knee = match doc.get("knee") {
+        Some(Value::Null) => "none".to_string(),
+        Some(k) => {
+            let rate = k
+                .get("offered_rps")
+                .and_then(Value::as_num)
+                .ok_or("knee: missing numeric \"offered_rps\"")?;
+            if !rates.contains(&rate) {
+                return Err(format!("knee rate {rate} is not a probed point"));
+            }
+            match k.get("reason").and_then(Value::as_str) {
+                Some("slo-exceeded") | Some("depth-diverged") => format!("at {rate} rps"),
+                other => return Err(format!("knee: bad reason {other:?}")),
+            }
+        }
+        None => return Err("missing \"knee\" (must be an object or null)".into()),
+    };
+    let n = points.len();
+    Ok(format!(
+        "{n} point(s), ordered percentiles, fully drained, knee {knee}"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +344,42 @@ mod tests {
         let json = to_json(&r);
         assert!(json.contains("\"schema\": \"sbq-loadgen-v1\""));
         assert!(json.contains("\"reason\": \"depth-diverged\""));
+    }
+
+    #[test]
+    fn check_json_accepts_the_writer_and_rejects_each_defect() {
+        let json = to_json(&run_sweep(&tiny_spec()));
+        let check = |text: &str| check_json(&obs::json::parse(text).expect("still JSON"));
+        assert_eq!(
+            check(&json).as_deref(),
+            Ok("2 point(s), ordered percentiles, fully drained, knee at 2000000 rps")
+        );
+        // The parser keeps the first of two equal keys, so inserting
+        // `"key": bad, "x":` before a field overrides it.
+        let first = |key: &str, bad: &str| {
+            json.replacen(
+                &format!("\"{key}\": "),
+                &format!("\"{key}\": {bad}, \"x\": "),
+                1,
+            )
+        };
+        let (head, rest) = json.split_once("\"points\": [\n").unwrap();
+        let tail = rest.split_once("  ],\n").unwrap().1;
+        let knee = "\"knee\": {\"offered_rps\": ";
+        let rejects = |text: String, want: &str| {
+            let err = check(&text).expect_err(want);
+            assert!(err.contains(want), "{err:?} should mention {want:?}");
+        };
+        rejects(json.replace("-v1", "-v0"), "expected \"sbq-loadgen-v1\"");
+        rejects(format!("{head}\"points\": [\n  ],\n{tail}"), "empty");
+        rejects(first("e2e_p50_ns", "1e12"), "percentiles out of order");
+        rejects(first("completed", "31"), "completed 31 != requests 32");
+        rejects(first("offered_rps", "1e12"), "not strictly ascending");
+        rejects(
+            json.replace(knee, &format!("{knee}7, \"x\": ")),
+            "rate 7 is not",
+        );
+        rejects(json.replace("depth-diverged", "bored"), "bad reason");
     }
 
     #[test]

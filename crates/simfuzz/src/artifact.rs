@@ -18,9 +18,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Bumped whenever the format or its meaning changes. v3 stores the
-/// whole machine in place of v2's ten plan knobs; older versions are
-/// rejected rather than replayed on a machine they do not describe.
-pub const ARTIFACT_VERSION: u64 = 3;
+/// whole machine in place of v2's ten plan knobs; v4's machine lost v3's
+/// MESI Exclusive flag. Older versions are rejected rather than replayed
+/// on a machine they do not describe.
+pub const ARTIFACT_VERSION: u64 = 4;
 
 /// A parsed reproducer: the run to replay plus the violation kind the
 /// original run produced (for replay verification).
@@ -239,7 +240,7 @@ mod tests {
         assert!(parse_artifact("").is_err());
         let good = artifact(&FuzzPlan::derive(5, None));
         let err = |text: String| parse_artifact(&text).unwrap_err();
-        assert!(err(good.replace("version 3", "version 999")).contains("version 999"));
+        assert!(err(good.replace("version 4", "version 999")).contains("version 999"));
         assert!(err(good.replace("\nthreads ", "\nthread-count ")).contains("`threads`"));
         assert!(err(good.replace("\nthreads ", "\nthreads soon")).contains("`threads`"));
         assert!(err(good.replace("\nthreads ", "\nthreads 9")).contains("do not fit"));
@@ -247,6 +248,15 @@ mod tests {
         assert!(err(format!("{good}timer-period 9\n")).contains("unknown key `timer-period`"));
         assert!(err(format!("{good}hop-intra=1\n")).contains("duplicate machine key"));
         assert!(err(format!("{good}hop=1\n")).contains("unknown machine key `hop`"));
+        // A machine the engine does not model is no reproducer either.
+        let per_socket = format!(
+            "cores-per-socket={}\n",
+            FuzzPlan::derive(5, None).machine().cores_per_socket
+        );
+        let past_bound = good
+            .replace(&per_socket, "cores-per-socket=1\n")
+            .replace("hop-cross=110\n", "hop-cross=12\n");
+        assert!(err(past_bound).contains("hop-intra (25) must be at most 2 × hop-cross (12)"));
         for kind in ["nolinearization", "wti", ""] {
             let bad = good.replace("violation ord", &format!("violation {kind}"));
             assert!(err(bad).contains("unknown violation kind"), "{kind:?}");

@@ -50,7 +50,7 @@ pub struct FuzzPlan {
     /// independently.
     pub machine_seed: u64,
     /// Preemption-source period in cycles; 0 disables the component.
-    /// When set, an [`coherence::ComponentSpec::Interrupt`] actor fires
+    /// When set, a [`ComponentSpec::Interrupt`] actor fires
     /// round-robin across cores, aborting in-flight transactions with
     /// `txn::INTERRUPT` — the fuzzer's oracle must hold through
     /// interrupt-aborted-and-retried operations.

@@ -696,83 +696,21 @@ fn load_main(args: &[String]) -> Res<()> {
     Ok(())
 }
 
-/// Validates an `sbq-loadgen-v1` document: schema tag, non-empty points
-/// with ordered e2e percentiles and full completion, and a knee (when
-/// present) that references an actually probed rate.
+/// Validates an `sbq-loadgen-v1` document with [`loadgen::check_json`]:
+/// exit 1 if it is not JSON or not valid.
 fn load_check_main(args: &[String]) -> Res<()> {
     let (path, text) = read_file_arg(args)?;
     let doc = obs::json::parse(&text).unwrap_or_else(|e| {
         eprintln!("{path}: not JSON — {e}");
         std::process::exit(1);
     });
-    let fail = |msg: String| -> ! {
-        eprintln!("{path}: INVALID — {msg}");
-        std::process::exit(1);
-    };
-    match doc.get("schema").and_then(obs::json::Value::as_str) {
-        Some("sbq-loadgen-v1") => {}
-        other => fail(format!("schema {other:?}, expected \"sbq-loadgen-v1\"")),
-    }
-    let requests = doc
-        .get("requests")
-        .and_then(obs::json::Value::as_num)
-        .unwrap_or_else(|| fail("missing numeric \"requests\"".into()));
-    let points = doc
-        .get("points")
-        .and_then(obs::json::Value::as_arr)
-        .unwrap_or_else(|| fail("missing \"points\" array".into()));
-    if points.is_empty() {
-        fail("empty \"points\" array".into());
-    }
-    let mut rates = Vec::new();
-    for (i, p) in points.iter().enumerate() {
-        let field = |key: &str| {
-            p.get(key)
-                .and_then(obs::json::Value::as_num)
-                .unwrap_or_else(|| fail(format!("point {i}: missing numeric \"{key}\"")))
-        };
-        let (p50, p99, p999, max) = (
-            field("e2e_p50_ns"),
-            field("e2e_p99_ns"),
-            field("e2e_p999_ns"),
-            field("e2e_max_ns"),
-        );
-        if !(p50 <= p99 && p99 <= p999 && p999 <= max) {
-            fail(format!(
-                "point {i}: e2e percentiles out of order: \
-                 p50={p50} p99={p99} p999={p999} max={max}"
-            ));
+    match loadgen::check_json(&doc) {
+        Ok(summary) => println!("{path}: ok — {summary}"),
+        Err(e) => {
+            eprintln!("{path}: INVALID — {e}");
+            std::process::exit(1);
         }
-        if field("completed") != requests {
-            fail(format!(
-                "point {i}: completed {} != requests {requests} (open loop must drain fully)",
-                field("completed")
-            ));
-        }
-        rates.push(field("offered_rps"));
     }
-    if rates.windows(2).any(|w| w[0] >= w[1]) {
-        fail("offered_rps not strictly ascending".into());
-    }
-    let knee = match doc.get("knee") {
-        Some(obs::json::Value::Null) => "none".to_string(),
-        Some(k) => {
-            let rate = k
-                .get("offered_rps")
-                .and_then(obs::json::Value::as_num)
-                .unwrap_or_else(|| fail("knee: missing numeric \"offered_rps\"".into()));
-            if !rates.contains(&rate) {
-                fail(format!("knee rate {rate} is not a probed point"));
-            }
-            match k.get("reason").and_then(obs::json::Value::as_str) {
-                Some("slo-exceeded") | Some("depth-diverged") => format!("at {rate} rps"),
-                other => fail(format!("knee: bad reason {other:?}")),
-            }
-        }
-        None => fail("missing \"knee\" (must be an object or null)".into()),
-    };
-    let n = points.len();
-    println!("{path}: ok — {n} point(s), ordered percentiles, fully drained, knee {knee}");
     Ok(())
 }
 

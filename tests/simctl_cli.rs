@@ -30,15 +30,17 @@ fn simctl(args: &[&str]) -> Output {
     child.wait_with_output().expect("collect simctl output")
 }
 
-/// Asserts `simctl args` exits 2 and prints the usage text on stderr.
-fn assert_usage_error(args: &[&str]) {
+/// Asserts `simctl args` exits 2 and prints the usage text on stderr,
+/// and returns that stderr.
+fn assert_usage_error(args: &[&str]) -> String {
     let out = simctl(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "simctl {args:?}: {stderr}");
     assert!(
         stderr.contains("usage:"),
         "simctl {args:?} should print usage: {stderr}"
     );
+    stderr
 }
 
 #[test]
@@ -119,6 +121,12 @@ fn malformed_counts_are_usage_errors() {
     assert_usage_error(&["sbq-htm", "producer", "4", "sockets=0"]);
     assert_usage_error(&["fig", "fig1", "threads=0"]);
     assert_usage_error(&["fig", "numa", "grid=2x0"]);
+    // An intra-socket hop slower than two cross-socket hops lets an Inv
+    // overtake a reader's data, a race the engine does not model; such
+    // a run used to print rows from it.
+    let hops = ["sockets=2", "hop-intra=300", "hop-cross=10"];
+    let stderr = assert_usage_error(&[&["sbq-htm", "mixed", "8", "ops=200"][..], &hops].concat());
+    assert!(stderr.contains("hop-intra (300) must be at most 2 × hop-cross (10)"));
 }
 
 /// Every `MachineConfig` field is a key of the single-run grammar, by
