@@ -144,7 +144,6 @@ mod tests {
             &mut ctx,
             QueueConfig {
                 max_threads: 1,
-                reclaim: true,
                 poison_on_free: true,
             },
         );
@@ -169,7 +168,6 @@ mod tests {
                 &mut ctx,
                 QueueConfig {
                     max_threads: N,
-                    reclaim: true,
                     poison_on_free: false,
                 },
             )

@@ -31,18 +31,13 @@ const NODE_WORDS: usize = 3;
 pub struct MsQueue {
     base: Addr,
     max_threads: usize,
-    reclaim: bool,
 }
 
 impl MsQueue {
     /// Creates the queue (empty sentinel) from a single thread.
-    pub fn new<C: ThreadCtx>(ctx: &mut C, max_threads: usize, reclaim: bool) -> Self {
+    pub fn new<C: ThreadCtx>(ctx: &mut C, max_threads: usize) -> Self {
         let base = ctx.alloc(3 + max_threads);
-        let q = MsQueue {
-            base,
-            max_threads,
-            reclaim,
-        };
+        let q = MsQueue { base, max_threads };
         let sentinel = q.new_node(ctx, 0, 0);
         ctx.write(base + HEAD, sentinel);
         ctx.write(base + TAIL, sentinel);
@@ -59,12 +54,8 @@ impl MsQueue {
     }
 
     /// Rebuilds a handle from a published descriptor address.
-    pub fn from_base(base: Addr, max_threads: usize, reclaim: bool) -> Self {
-        MsQueue {
-            base,
-            max_threads,
-            reclaim,
-        }
+    pub fn from_base(base: Addr, max_threads: usize) -> Self {
+        MsQueue { base, max_threads }
     }
 
     fn new_node<C: ThreadCtx>(&self, ctx: &mut C, index: u64, value: u64) -> Addr {
@@ -96,9 +87,6 @@ impl MsQueue {
     }
 
     fn free_nodes<C: ThreadCtx>(&self, ctx: &mut C) {
-        if !self.reclaim {
-            return;
-        }
         let retired = ctx.swap(self.base + RETIRED, NULL);
         if retired == NULL {
             return;
@@ -165,13 +153,7 @@ impl MsQueue {
                 ctx.cas(self.base + TAIL, t, next);
             }
             let value = ctx.read(next + VALUE);
-            // `planted-bug` (a test-only feature, never enabled by
-            // default) deliberately treats a lost head swing as a win, so
-            // two contending dequeuers return the same value. It exists
-            // solely as the known defect the simfuzz harness must be able
-            // to find, shrink, and replay.
-            let won = ctx.cas(self.base + HEAD, h, next);
-            if won || cfg!(feature = "planted-bug") {
+            if ctx.cas(self.base + HEAD, h, next) {
                 break Some(value);
             }
         };
@@ -191,7 +173,7 @@ mod tests {
     fn fifo_single_thread() {
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let q = MsQueue::new(&mut ctx, 4, true);
+        let q = MsQueue::new(&mut ctx, 4);
         assert_eq!(q.dequeue(&mut ctx), None);
         for i in 1..=200u64 {
             q.enqueue(&mut ctx, i);
@@ -209,7 +191,7 @@ mod tests {
         let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
-            MsQueue::new(&mut ctx, N, true)
+            MsQueue::new(&mut ctx, N)
         };
         let results = run_threads(&heap, N, |ctx| {
             let tid = ctx.thread_id() as u64;
@@ -240,7 +222,7 @@ mod tests {
         let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
-            MsQueue::new(&mut ctx, N, true)
+            MsQueue::new(&mut ctx, N)
         };
         let results = run_threads(&heap, N, |ctx| {
             let tid = ctx.thread_id() as u64;

@@ -54,18 +54,13 @@ pub struct WfHandle {
 pub struct WfQueue {
     base: Addr,
     max_threads: usize,
-    reclaim: bool,
 }
 
 impl WfQueue {
     /// Creates the queue with one initial segment.
-    pub fn new<C: ThreadCtx>(ctx: &mut C, max_threads: usize, reclaim: bool) -> Self {
+    pub fn new<C: ThreadCtx>(ctx: &mut C, max_threads: usize) -> Self {
         let base = ctx.alloc(3 + max_threads);
-        let q = WfQueue {
-            base,
-            max_threads,
-            reclaim,
-        };
+        let q = WfQueue { base, max_threads };
         let seg = q.new_segment(ctx, 0);
         ctx.write(base + ENQ_IDX, 0);
         ctx.write(base + DEQ_IDX, 0);
@@ -82,12 +77,8 @@ impl WfQueue {
     }
 
     /// Rebuilds a handle.
-    pub fn from_base(base: Addr, max_threads: usize, reclaim: bool) -> Self {
-        WfQueue {
-            base,
-            max_threads,
-            reclaim,
-        }
+    pub fn from_base(base: Addr, max_threads: usize) -> Self {
+        WfQueue { base, max_threads }
     }
 
     /// Creates the per-thread handle; call once per thread after `new`.
@@ -153,9 +144,6 @@ impl WfQueue {
     /// advanced by CAS; simpler than the original's scheme but preserves
     /// its index-based character.
     fn reclaim_segments<C: ThreadCtx>(&self, ctx: &mut C, h: &mut WfHandle) {
-        if !self.reclaim {
-            return;
-        }
         let deq = ctx.read(self.base + DEQ_IDX);
         let mut min_id = deq / SEG_CELLS as u64;
         for i in 0..self.max_threads {
@@ -244,7 +232,7 @@ mod tests {
     fn fifo_single_thread_across_segments() {
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let q = WfQueue::new(&mut ctx, 2, true);
+        let q = WfQueue::new(&mut ctx, 2);
         let mut h = q.handle(&mut ctx);
         let total = (SEG_CELLS * 3 + 17) as u64; // cross several segments
         for i in 1..=total {
@@ -260,7 +248,7 @@ mod tests {
     fn empty_dequeue_returns_none_and_poisons() {
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let q = WfQueue::new(&mut ctx, 1, true);
+        let q = WfQueue::new(&mut ctx, 1);
         let mut h = q.handle(&mut ctx);
         assert_eq!(q.dequeue(&mut ctx, &mut h), None);
         // The poisoned cell forces the next enqueue to a fresh index, but
@@ -276,7 +264,7 @@ mod tests {
         let heap = Arc::new(NativeHeap::new());
         let q = {
             let mut ctx = heap.ctx(0);
-            WfQueue::new(&mut ctx, N, true)
+            WfQueue::new(&mut ctx, N)
         };
         let results = run_threads(&heap, N, |ctx| {
             let mut h = q.handle(ctx);
@@ -303,7 +291,7 @@ mod tests {
     fn segment_reclamation_advances_head() {
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let q = WfQueue::new(&mut ctx, 1, true);
+        let q = WfQueue::new(&mut ctx, 1);
         let mut h = q.handle(&mut ctx);
         let total = (SEG_CELLS * 4) as u64;
         for i in 1..=total {

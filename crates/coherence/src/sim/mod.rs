@@ -68,8 +68,6 @@ mod ops;
 mod protocol;
 mod spine;
 
-pub use event::testhooks;
-
 use crate::config::{HomePolicy, MachineConfig};
 use crate::fxhash::FxHashMap;
 use crate::msg::{Msg, Node};

@@ -1,12 +1,11 @@
 //! Paper-scale NUMA regressions: the 176-core machine must fit its
 //! fiber-stack budget, home-socket policies must route directory legs
 //! where they claim to, the widened trace counters must hold counts a
-//! 176-core run produces, and the calendar wheel must keep
-//! overflow-heap migration ordered against in-horizon pushes at the
-//! same tick.
+//! 176-core run produces, and long delays that overflow the calendar
+//! wheel must keep an 88-core run deterministic. (The wheel's own
+//! migration-order tests are unit tests of `sim::event`.)
 
 use absmem::ThreadCtx;
-use coherence::sim::testhooks::WheelProbe;
 use coherence::{HomePolicy, Machine, MachineConfig, Program, RunReport, SimCtx, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -188,61 +187,14 @@ fn tx_trace_detail_holds_values_past_u32() {
 }
 
 // ---------------------------------------------------------------------
-// Calendar wheel: overflow-heap → wheel migration ordering.
+// Calendar wheel: overflow-heap → wheel migration at paper scale.
 // ---------------------------------------------------------------------
 
-/// Directed reproduction of the migration ordering contract: events
-/// pushed far beyond the 256-tick horizon (overflow heap) must pop in
-/// global (time, push-order) order even when in-horizon pushes land on
-/// exactly the same ticks *after* the heap events have migrated into
-/// the wheel.
-#[test]
-fn overflow_migration_keeps_fifo_order_against_same_tick_pushes() {
-    let mut p = WheelProbe::new();
-    // 88 far-future events on four ticks, several per tick — all beyond
-    // the wheel horizon at clock 0, so they land in the overflow heap.
-    for i in 0..88u64 {
-        p.push(500 + (i % 4), 1_000 + i);
-    }
-    // In-horizon filler to walk the clock forward through migration.
-    for t in 0..300u64 {
-        p.push(t, t);
-    }
-    for t in 0..300u64 {
-        assert_eq!(p.pop(), Some((t, t)), "filler popped out of order");
-    }
-    // Clock is now 299; ticks 500..=503 are inside the horizon and the
-    // heap events have migrated (or will, lazily). Push younger events
-    // onto those exact ticks: they must pop AFTER every migrated event
-    // with the same tick.
-    for i in 0..44u64 {
-        p.push(500 + (i % 4), 2_000 + i);
-    }
-    let mut expected = Vec::new();
-    for t in 0..4u64 {
-        for i in 0..88u64 {
-            if i % 4 == t {
-                expected.push((500 + t, 1_000 + i));
-            }
-        }
-        for i in 0..44u64 {
-            if i % 4 == t {
-                expected.push((500 + t, 2_000 + i));
-            }
-        }
-    }
-    let mut got = Vec::new();
-    while let Some(pair) = p.pop() {
-        got.push(pair);
-    }
-    assert_eq!(got, expected, "migration broke (time, push-order) ordering");
-    assert!(p.is_empty());
-}
-
-/// The same contract exercised end-to-end at paper scale: 88 cores
-/// where half sleep far past the wheel horizon (long `delay()`s land in
-/// the overflow heap) while the other half keep the wheel dense with
-/// short-latency coherence traffic. Two runs must agree exactly.
+/// The wheel's migration-order contract exercised end-to-end at paper
+/// scale: 88 cores where half sleep far past the wheel horizon (long
+/// `delay()`s land in the overflow heap) while the other half keep the
+/// wheel dense with short-latency coherence traffic. Two runs must agree
+/// exactly.
 #[test]
 fn long_delays_beyond_the_horizon_stay_deterministic_at_88_cores() {
     let run = || {

@@ -1,201 +1,10 @@
-//! Property tests for the engine's PR 1 infrastructure: the
-//! calendar-wheel event queue (checked against a `BinaryHeap` oracle)
-//! and the in-tree FxHash (determinism and collision sanity).
-//!
-//! The wheel is exercised through `coherence::sim::testhooks::WheelProbe`,
-//! which drives the real `EventQ` exactly the way the engine does
-//! (monotone clock, engine-allocated sequence tiebreaker).
+//! Property tests for the engine's in-tree FxHash: determinism and
+//! collision sanity. The calendar-wheel event queue's property tests are
+//! unit tests of `sim::event`, which drive the private queue directly.
 
 use coherence::fxhash::{FxHashMap, FxHasher};
-use coherence::sim::testhooks::WheelProbe;
 use simrng::SimRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::{Hash, Hasher};
-
-/// Reference implementation: a plain binary min-heap ordered by
-/// `(time, seq)` — the specified pop order of the event queue.
-#[derive(Default)]
-struct HeapOracle {
-    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    seq: u64,
-}
-
-impl HeapOracle {
-    fn push(&mut self, time: u64, payload: u64) {
-        self.seq += 1;
-        self.heap.push(Reverse((time, self.seq, payload)));
-    }
-
-    fn pop(&mut self) -> Option<(u64, u64)> {
-        self.heap.pop().map(|Reverse((t, _, p))| (t, p))
-    }
-}
-
-#[test]
-fn wheel_matches_heap_oracle_on_random_schedules() {
-    for seed in 0..12u64 {
-        let mut rng = SimRng::seed_from_u64(0x0077_e3a1 ^ seed.wrapping_mul(0x9e37_79b9));
-        let mut wheel = WheelProbe::new();
-        let mut oracle = HeapOracle::default();
-        let mut payload = 0u64;
-        for step in 0..4_000 {
-            let push = wheel.is_empty() || rng.gen_bool(0.55);
-            if push {
-                // Mostly near-future times (wheel slots), with occasional
-                // far-future outliers that must overflow to the backing
-                // heap, and exact-now ties for stability coverage.
-                let offset = match rng.gen_usize(10) {
-                    0 => 0,
-                    1..=6 => rng.gen_range_inclusive(1, 64),
-                    7 | 8 => rng.gen_range_inclusive(65, 4_096),
-                    _ => rng.gen_range_inclusive(100_000, 1 << 30),
-                };
-                payload += 1;
-                wheel.push(wheel.clock() + offset, payload);
-                oracle.push(wheel.clock() + offset, payload);
-            } else {
-                let got = wheel.pop();
-                let want = oracle.pop();
-                assert_eq!(got, want, "seed {seed} step {step}: pop diverged");
-            }
-            assert_eq!(wheel.len(), oracle.heap.len(), "seed {seed} step {step}");
-        }
-        // Drain: the full remaining order must match too.
-        while let Some(want) = oracle.pop() {
-            assert_eq!(wheel.pop(), Some(want), "seed {seed} drain diverged");
-        }
-        assert!(wheel.is_empty());
-    }
-}
-
-#[test]
-fn wheel_is_fifo_within_a_tick() {
-    // Events at the same time must pop in push order (the seq
-    // tiebreaker) — the scheduler's round-robin fairness depends on it.
-    let mut wheel = WheelProbe::new();
-    for p in 0..100u64 {
-        wheel.push(7, p);
-    }
-    for want in 0..100u64 {
-        assert_eq!(wheel.pop(), Some((7, want)));
-    }
-    assert!(wheel.is_empty());
-}
-
-#[test]
-fn wheel_orders_far_future_bursts() {
-    // Alternate near-slot and far-heap times; popped times must be
-    // non-decreasing and nothing may be lost.
-    let mut wheel = WheelProbe::new();
-    let mut n = 0u64;
-    for k in 0..256u64 {
-        wheel.push(k, n);
-        n += 1;
-        wheel.push(1_000_000_000 + (256 - k), n);
-        n += 1;
-    }
-    let mut popped = 0u64;
-    let mut last = 0u64;
-    while let Some((t, _)) = wheel.pop() {
-        assert!(t >= last, "time went backwards: {last} -> {t}");
-        last = t;
-        popped += 1;
-    }
-    assert_eq!(popped, n);
-}
-
-/// Property test aimed squarely at the overflow-heap path: almost every
-/// push lands beyond the 256-slot horizon, and pops repeatedly advance
-/// the clock across horizon boundaries so far events migrate into wheel
-/// slots in bulk. Pop order must still match the `(time, seq)` oracle
-/// exactly — including ties between a migrated far event and a direct
-/// in-horizon push at the same timestamp, which is the subtle interleave
-/// the migration-before-push invariant exists for.
-#[test]
-fn overflow_heap_migration_matches_oracle_across_horizon_sweeps() {
-    for seed in 0..12u64 {
-        let mut rng = SimRng::seed_from_u64(0xfa12_07e1 ^ seed.wrapping_mul(0x9e37_79b9));
-        let mut wheel = WheelProbe::new();
-        let mut oracle = HeapOracle::default();
-        let mut payload = 0u64;
-        let mut pending_far: Vec<u64> = Vec::new();
-        for step in 0..6_000 {
-            let push = wheel.is_empty() || rng.gen_bool(0.5);
-            if push {
-                let offset = match rng.gen_usize(10) {
-                    // Clustered just past the horizon: these overflow at
-                    // push time but migrate almost immediately.
-                    0..=4 => rng.gen_range_inclusive(256, 512),
-                    // Boundary triple: last in-horizon slot, first far.
-                    5 => 255,
-                    6 => 256,
-                    // Deeper far-future, several horizons out.
-                    7 | 8 => rng.gen_range_inclusive(513, 8_192),
-                    // Tie with an already-overflowed event: replaying a
-                    // previously far time once it is within the horizon
-                    // makes a direct bucket push share a timestamp with
-                    // the migrated event — seq order must win.
-                    _ => {
-                        let t = pending_far
-                            .iter()
-                            .rev()
-                            .find(|&&t| t >= wheel.clock())
-                            .copied();
-                        match t {
-                            Some(t) => t - wheel.clock(),
-                            None => rng.gen_range_inclusive(256, 512),
-                        }
-                    }
-                };
-                let time = wheel.clock() + offset;
-                if offset >= 256 {
-                    pending_far.push(time);
-                    if pending_far.len() > 64 {
-                        pending_far.remove(0);
-                    }
-                }
-                payload += 1;
-                wheel.push(time, payload);
-                oracle.push(time, payload);
-            } else {
-                let got = wheel.pop();
-                let want = oracle.pop();
-                assert_eq!(got, want, "seed {seed} step {step}: pop diverged");
-            }
-            assert_eq!(wheel.len(), oracle.heap.len(), "seed {seed} step {step}");
-        }
-        while let Some(want) = oracle.pop() {
-            assert_eq!(wheel.pop(), Some(want), "seed {seed} drain diverged");
-        }
-        assert!(wheel.is_empty());
-    }
-}
-
-/// The probe's own guard rejects past scheduling loudly.
-#[test]
-#[should_panic(expected = "event scheduled in the past")]
-fn wheel_probe_rejects_past_scheduling() {
-    let mut wheel = WheelProbe::new();
-    wheel.push(100, 1);
-    wheel.pop();
-    wheel.push(99, 2);
-}
-
-/// Bypassing the probe guard, the raw queue's debug assertion names the
-/// misuse precisely instead of silently corrupting slot order. (The
-/// companion pop-side assertion — an overflow event older than the event
-/// being popped — is unreachable unless this one is first defeated, so
-/// this is the canonical misuse test.)
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "events must never be scheduled in the past")]
-fn raw_queue_debug_asserts_on_past_scheduling() {
-    let mut wheel = WheelProbe::new();
-    wheel.push(300, 1);
-    wheel.pop(); // clock -> 300
-    wheel.push_unguarded(10, 2);
-}
 
 fn fx_hash_one<T: Hash>(v: T) -> u64 {
     let mut h = FxHasher::default();

@@ -232,7 +232,6 @@ mod tests {
             StandardCas,
             QueueConfig {
                 max_threads: 4,
-                reclaim: true,
                 poison_on_free: true,
             },
         );

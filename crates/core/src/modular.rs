@@ -50,15 +50,13 @@ pub struct EnqueuerState {
     spare: Option<Addr>,
 }
 
-/// Shared-queue configuration.
+/// Shared-queue configuration. Retired nodes are always reclaimed by the
+/// epoch scheme of Algorithm 7 (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct QueueConfig {
     /// Upper bound on the number of participating threads (sizes the
     /// protectors array; thread ids must be `< max_threads`).
     pub max_threads: usize,
-    /// Reclaim retired nodes (Algorithm 7). Disable to stress-test
-    /// algorithms without reclamation in the picture.
-    pub reclaim: bool,
     /// Scribble a poison pattern over freed nodes so that use-after-free
     /// reads surface as wild values in tests.
     pub poison_on_free: bool,
@@ -181,9 +179,6 @@ impl<B: Basket, S> ModularQueue<B, S> {
     /// Frees retired nodes up to the earliest protected node (Algorithm
     /// 7), bounded additionally by the tail index (see module docs).
     fn free_nodes<C: ThreadCtx>(&self, ctx: &mut C) {
-        if !self.cfg.reclaim {
-            return;
-        }
         // Single reclaimer at a time: SWAP out the retired pointer.
         let retired = ctx.swap(self.base + RETIRED, NULL);
         if retired == NULL {
@@ -422,7 +417,6 @@ mod tests {
             StandardCas,
             QueueConfig {
                 max_threads: 8,
-                reclaim: true,
                 poison_on_free: true,
             },
         )
@@ -455,7 +449,6 @@ mod tests {
             absmem::DelayedCas { delay_cycles: 10 },
             QueueConfig {
                 max_threads: 8,
-                reclaim: true,
                 poison_on_free: true,
             },
         );
@@ -507,7 +500,6 @@ mod tests {
             StandardCas,
             QueueConfig {
                 max_threads: 1,
-                reclaim: true,
                 poison_on_free: true,
             },
         );
@@ -562,7 +554,6 @@ mod tests {
             StandardCas,
             QueueConfig {
                 max_threads: 8,
-                reclaim: true,
                 poison_on_free: true,
             },
         );

@@ -62,7 +62,6 @@ impl<T> Sbq<T> {
             DelayedCas::default(),
             QueueConfig {
                 max_threads,
-                reclaim: true,
                 poison_on_free: false,
             },
         );

@@ -21,7 +21,6 @@ fn check_against_model(ops: &[bool], basket_cap: usize) {
         StandardCas,
         QueueConfig {
             max_threads: basket_cap,
-            reclaim: true,
             poison_on_free: true,
         },
     );
@@ -151,7 +150,6 @@ fn dequeue_skips_emptied_nodes() {
         StandardCas,
         QueueConfig {
             max_threads: 2,
-            reclaim: false,
             poison_on_free: false,
         },
     );

@@ -10,7 +10,9 @@ use sbq::basket::SbqBasket;
 use sbq::modular::{EnqueuerState, ModularQueue, QueueConfig};
 use sbq::txcas::{TxCas, TxCasParams};
 
-/// Queue construction parameters shared across the suite.
+/// Queue construction parameters shared across the suite. Every queue
+/// frees what it retires; the baskets and MS queues use the paper's
+/// epoch scheme (Algorithm 7).
 #[derive(Debug, Clone, Copy)]
 pub struct QueueParams {
     /// Protector-array size: total threads attached to the queue.
@@ -30,8 +32,6 @@ pub struct QueueParams {
     /// (`absmem::native::busy_wait_cycles`) of `delay_cycles / 2.2` ns on
     /// native hardware.
     pub delay_cycles: u64,
-    /// Run the epoch reclaimer.
-    pub reclaim: bool,
 }
 
 impl Default for QueueParams {
@@ -42,7 +42,6 @@ impl Default for QueueParams {
             basket_capacity: 44,
             txcas: TxCasParams::default(),
             delay_cycles: TxCasParams::default().intra_delay,
-            reclaim: true,
         }
     }
 }
@@ -62,14 +61,12 @@ impl QueueParams {
                 max_retries: 12,
             },
             delay_cycles: 200,
-            reclaim: true,
         }
     }
 
     fn queue_config(&self) -> QueueConfig {
         QueueConfig {
             max_threads: self.max_threads,
-            reclaim: self.reclaim,
             poison_on_free: false,
         }
     }
@@ -278,11 +275,11 @@ impl<C: ThreadCtx> QueueAdapter<C> for WfQ {
     const NAME: &'static str = "WF-Queue";
 
     fn create(ctx: &mut C, p: &QueueParams) -> u64 {
-        WfQueue::new(ctx, p.max_threads, p.reclaim).base()
+        WfQueue::new(ctx, p.max_threads).base()
     }
 
     fn attach(base: u64, ctx: &mut C, p: &QueueParams) -> Self {
-        let q = WfQueue::from_base(base, p.max_threads, p.reclaim);
+        let q = WfQueue::from_base(base, p.max_threads);
         let h = q.handle(ctx);
         WfQ { q, h }
     }
@@ -334,12 +331,12 @@ impl<C: ThreadCtx> QueueAdapter<C> for MsQ {
     const NAME: &'static str = "MS-Queue";
 
     fn create(ctx: &mut C, p: &QueueParams) -> u64 {
-        MsQueue::new(ctx, p.max_threads, p.reclaim).base()
+        MsQueue::new(ctx, p.max_threads).base()
     }
 
     fn attach(base: u64, _ctx: &mut C, p: &QueueParams) -> Self {
         MsQ {
-            q: MsQueue::from_base(base, p.max_threads, p.reclaim),
+            q: MsQueue::from_base(base, p.max_threads),
         }
     }
 

@@ -49,7 +49,7 @@ fn assert_rejected_and_minimized(history: &[Event], expect: &Violation) {
 
 #[test]
 fn value_duplication_is_repeat() {
-    // Two dequeuers both return 1: the planted-bug shape.
+    // Two dequeuers both return 1: the shape of the MS-queue mutant.
     let h = [
         ev(0, Op::Enq(1), 0, 1),
         ev(1, Op::DeqSome(1), 2, 3),

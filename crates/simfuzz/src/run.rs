@@ -192,11 +192,6 @@ mod tests {
     fn clean_small_campaign_over_every_queue() {
         for seed in 0..7 {
             let plan = FuzzPlan::derive(seed, None);
-            // Under `planted-bug` the MS queue is *supposed* to fail;
-            // tests/planted_bug.rs owns that expectation.
-            if cfg!(feature = "planted-bug") && plan.queue == QueueKind::MsQueue {
-                continue;
-            }
             let out = run_plan(&plan);
             assert_eq!(
                 out.violation,
@@ -225,9 +220,6 @@ mod tests {
     #[test]
     fn preemption_campaign_is_clean_and_observes_interrupt_aborts() {
         for (i, queue) in crate::plan::FUZZ_QUEUES.iter().enumerate() {
-            if cfg!(feature = "planted-bug") && *queue == QueueKind::MsQueue {
-                continue;
-            }
             let mut interrupted = 0u64;
             for seed in 0..3u64 {
                 let mut plan = FuzzPlan::derive(i as u64 * 31 + seed, Some(*queue));

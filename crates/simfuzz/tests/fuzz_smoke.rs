@@ -28,17 +28,7 @@ fn small_campaign_is_clean_on_every_queue() {
     };
     let report = run_campaign(&cfg, |_, _, _| {});
     assert_eq!(report.runs, cfg.seeds);
-    // Under `planted-bug` the MS queue is supposed to fail; that path is
-    // owned by tests/planted_bug.rs.
-    let unexpected: Vec<_> = report
-        .failures
-        .iter()
-        .filter(|f| {
-            let q = f.shrunk.as_ref().map(|s| s.plan.queue);
-            !(cfg!(feature = "planted-bug") && q == Some(simfuzz::QueueKind::MsQueue))
-        })
-        .map(|f| (f.seed, &f.kind))
-        .collect();
+    let unexpected: Vec<_> = report.failures.iter().map(|f| (f.seed, &f.kind)).collect();
     assert!(
         unexpected.is_empty(),
         "unexpected violations: {unexpected:?}"
@@ -59,15 +49,7 @@ fn small_native_campaign_is_clean() {
     };
     let report = run_campaign(&cfg, |_, _, _| {});
     assert_eq!(report.runs, cfg.seeds);
-    let unexpected: Vec<_> = report
-        .failures
-        .iter()
-        .filter(|f| {
-            let q = FuzzPlan::derive(f.seed, None).queue;
-            !(cfg!(feature = "planted-bug") && q == simfuzz::QueueKind::MsQueue)
-        })
-        .map(|f| (f.seed, &f.kind))
-        .collect();
+    let unexpected: Vec<_> = report.failures.iter().map(|f| (f.seed, &f.kind)).collect();
     assert!(
         unexpected.is_empty(),
         "unexpected native failures: {unexpected:?}"

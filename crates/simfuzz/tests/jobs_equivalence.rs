@@ -2,8 +2,8 @@
 //! observable output — report fields, progress-callback order, rendered
 //! traces — may not depend on the worker count. The failing-campaign
 //! half of this contract (artifact byte-identity, lowest-seed-wins)
-//! lives in tests/planted_bug.rs, which needs the `planted-bug` feature
-//! to generate failures; these tests run with default features.
+//! needs a queue that fails: the MS-queue mutant in `tests/mutants/`
+//! checks it on `simctl fuzz` with the defect patched in.
 
 use simfuzz::{run_campaign, trace_plan, CampaignConfig, FuzzPlan, FUZZ_QUEUES};
 

@@ -26,7 +26,6 @@ const PER_THREAD: u64 = 50;
 fn qcfg() -> QueueConfig {
     QueueConfig {
         max_threads: THREADS,
-        reclaim: true,
         poison_on_free: false,
     }
 }

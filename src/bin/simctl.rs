@@ -6,7 +6,7 @@
 //! Every subcommand shares one grammar: a few positional arguments
 //! followed by `key=value` pairs. A pair that is not `key=value`, a
 //! repeated key, a key the subcommand does not take, a value that does
-//! not parse, or a count too small to run (zero threads; a zero
+//! not parse, or a count too small to run (zero threads; a zero `ops`,
 //! `basket`, `sockets`, `rates` entry, figure `threads`/`grid` entry or
 //! scenario `workers`/`ops`/`period`; a `mixed` run on fewer than two
 //! threads) prints the usage text and exits 2.
@@ -210,8 +210,8 @@ are 0/1, home-policy is fixed|interleave|first-touch):
   {machine-keys}
 
 Arguments are positional first, then key=value pairs; a malformed,
-repeated or unknown key, or a count too small to run (zero threads,
-one `mixed` thread), exits 2. See the module docs in
+repeated or unknown key, or a count too small to run (zero threads or
+ops, one `mixed` thread), exits 2. See the module docs in
 src/bin/simctl.rs for every key's meaning.";
 
 /// Machine keys the single-run grammar rejects: the thread count and
@@ -340,7 +340,8 @@ fn parse_run_spec(args: &[String]) -> Res<(RunSpec, Keys)> {
         return Err(format!("`{}` needs {min_threads}+ threads", pos[1]));
     }
 
-    let mut w = paper_workload(kind, threads, keys.num("ops")?.unwrap_or(200));
+    let ops = keys.get("ops", positive)?.unwrap_or(200);
+    let mut w = paper_workload(kind, threads, ops);
     let backend = keys
         .get("backend", BackendKind::parse)?
         .unwrap_or(BackendKind::Sim);
@@ -509,7 +510,7 @@ fn fig_main(args: &[String]) -> Res<()> {
     // A figure takes only the keys it uses; `all` takes every key.
     let ops = match fig {
         Some(f) if f.default_ops().is_none() => None,
-        _ => keys.num("ops")?,
+        _ => keys.get("ops", positive)?,
     };
     let threads: Option<Vec<usize>> = match fig {
         Some(f) if f.default_threads().is_none() => None,

@@ -70,7 +70,7 @@ fn modular_single_basket_matches_standalone_ms_queue_and_model() {
         // Standalone Michael–Scott.
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let ms = MsQueue::new(&mut ctx, 2, true);
+        let ms = MsQueue::new(&mut ctx, 2);
         let got_ms = drive!(&ops, |v| ms.enqueue(&mut ctx, v), ms.dequeue(&mut ctx));
         assert_eq!(
             got_ms, expect,
@@ -86,7 +86,6 @@ fn modular_single_basket_matches_standalone_ms_queue_and_model() {
             StandardCas,
             QueueConfig {
                 max_threads: 1,
-                reclaim: true,
                 poison_on_free: true,
             },
         );
@@ -118,7 +117,6 @@ fn sbq_single_threaded_matches_model() {
             StandardCas,
             QueueConfig {
                 max_threads: 4,
-                reclaim: true,
                 poison_on_free: true,
             },
         );
@@ -139,7 +137,7 @@ fn wf_queue_single_threaded_matches_model() {
         let expect = reference(&ops);
         let heap = Arc::new(NativeHeap::new());
         let mut ctx = heap.ctx(0);
-        let q = baselines::WfQueue::new(&mut ctx, 1, true);
+        let q = baselines::WfQueue::new(&mut ctx, 1);
         let mut h = q.handle(&mut ctx);
         let got = drive!(
             &ops,

@@ -34,7 +34,6 @@ fn params() -> QueueParams {
             ..Default::default()
         },
         delay_cycles: 120,
-        reclaim: true,
     }
 }
 

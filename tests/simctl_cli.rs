@@ -121,6 +121,14 @@ fn malformed_counts_are_usage_errors() {
     assert_usage_error(&["sbq-htm", "producer", "4", "sockets=0"]);
     assert_usage_error(&["fig", "fig1", "threads=0"]);
     assert_usage_error(&["fig", "numa", "grid=2x0"]);
+    // Zero ops printed NaN latencies and infinite durations, wrote an
+    // empty trace, or ran a mixed workload at 8 ops per thread.
+    assert_usage_error(&["sbq-htm", "producer", "1", "ops=0"]);
+    assert_usage_error(&["ms", "consumer", "2", "ops=0", "backend=native"]);
+    assert_usage_error(&["ms", "mixed", "2", "ops=0"]);
+    assert_usage_error(&["trace", "ms", "producer", "2", "ops=0"]);
+    assert_usage_error(&["fig", "fig1", "ops=0", "threads=1"]);
+    assert_usage_error(&["fig", "numa", "ops=0", "grid=1x2"]);
     // An intra-socket hop slower than two cross-socket hops lets an Inv
     // overtake a reader's data, a race the engine does not model; such
     // a run used to print rows from it.
