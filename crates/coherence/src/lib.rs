@@ -58,7 +58,6 @@
 pub mod config;
 #[cfg(target_arch = "x86_64")]
 pub mod fiber;
-pub mod fxhash;
 pub mod machine;
 pub mod msg;
 pub mod sim;

@@ -5,70 +5,42 @@ use super::event::Event;
 use super::{LineId, Sim};
 use crate::msg::{Msg, Node};
 
-/// A sorted set of core indices (directory sharer lists). Kept sorted so
-/// invalidations fan out in ascending core order — the same order the
-/// previous `BTreeSet` representation produced.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct SharerSet {
-    cores: Vec<usize>,
-}
-
-impl SharerSet {
-    fn one(core: usize) -> Self {
-        SharerSet { cores: vec![core] }
-    }
-
-    fn two(a: usize, b: usize) -> Self {
-        let mut cores = if a < b { vec![a, b] } else { vec![b, a] };
-        cores.dedup();
-        SharerSet { cores }
-    }
-
-    fn insert(&mut self, core: usize) {
-        if let Err(pos) = self.cores.binary_search(&core) {
-            self.cores.insert(pos, core);
-        }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &usize> {
-        self.cores.iter()
-    }
-}
-
-/// Directory state for one line.
-#[derive(Debug, Clone)]
+/// Directory state for one line. The line's sharers, in `Shared` and
+/// `AwaitWb`, are its bits in `Directory::sharers`; in `Invalid` and
+/// `Modified` it has none.
+#[derive(Debug, Clone, Copy, Default)]
 enum DirState {
+    #[default]
     Invalid,
-    Shared(SharerSet),
-    Modified(usize),
+    Shared,
+    Modified(u32),
     /// Transient: a Fwd-GetS was sent to the previous owner and the
     /// directory is waiting for its writeback before serving further
-    /// requests for this line.
-    AwaitWb(SharerSet),
+    /// requests for this line. The owner and the requester are the
+    /// sharers the writeback leaves.
+    AwaitWb,
 }
 
-/// One line's directory entry: its state and its memory value, 40 B.
-#[derive(Debug)]
+/// One line's directory entry: its state and its memory value, 16 B.
+#[derive(Debug, Default)]
 struct DirEntry {
     state: DirState,
     mem: u64,
 }
 
-impl Default for DirEntry {
-    fn default() -> Self {
-        DirEntry {
-            state: DirState::Invalid,
-            mem: 0,
-        }
-    }
-}
-
-/// The directory (shared LLC slice): a dense array of 40 B entries over
-/// the line arena, and one queue for the requests that wait on a
-/// writeback.
-#[derive(Debug, Default)]
+/// The directory (shared LLC slice): a dense array of 16 B entries over
+/// the line arena, each line's sharer set as bitmask words in one flat
+/// array beside it, and one queue for the requests that wait on a
+/// writeback. No request allocates per line.
+#[derive(Debug)]
 pub(super) struct Directory {
     entries: Vec<DirEntry>,
+    /// Sharer sets, `words` per line: core `c` of line `l` is bit
+    /// `c % 64` of `sharers[l * words + c / 64]`.
+    sharers: Vec<u64>,
+    /// Bitmask words per line: one bit per cache, the bootstrap core's
+    /// included.
+    words: usize,
     /// Requests that arrived while their line awaited a writeback, in
     /// arrival order; the line's `WbData` replays its own, in order.
     /// Only a line in `AwaitWb` has any, so the queue stays short and an
@@ -77,12 +49,53 @@ pub(super) struct Directory {
 }
 
 impl Directory {
+    /// A directory over `ncaches` caches.
+    pub(super) fn new(ncaches: usize) -> Self {
+        Directory {
+            entries: Vec::new(),
+            sharers: Vec::new(),
+            words: ncaches.div_ceil(64),
+            queued: Vec::new(),
+        }
+    }
+
     fn entry(&mut self, line: LineId) -> &mut DirEntry {
         let need = line as usize + 1;
         if self.entries.len() < need {
             self.entries.resize_with(need, DirEntry::default);
+            self.sharers.resize(need * self.words, 0);
         }
         &mut self.entries[line as usize]
+    }
+
+    /// `line`'s sharer words; its entry must exist.
+    fn sharer_words(&mut self, line: LineId) -> &mut [u64] {
+        let at = line as usize * self.words;
+        &mut self.sharers[at..at + self.words]
+    }
+
+    fn add_sharer(&mut self, line: LineId, core: usize) {
+        self.sharer_words(line)[core / 64] |= 1 << (core % 64);
+    }
+
+    fn remove_sharer(&mut self, line: LineId, core: usize) {
+        self.sharer_words(line)[core / 64] &= !(1 << (core % 64));
+    }
+
+    fn count_sharers(&mut self, line: LineId) -> u64 {
+        self.sharer_words(line)
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
+    }
+
+    /// Removes and returns `line`'s lowest-numbered sharer.
+    fn pop_sharer(&mut self, line: LineId) -> Option<usize> {
+        let words = self.sharer_words(line);
+        let (i, w) = words.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
+        let bit = w.trailing_zeros() as usize;
+        *w &= *w - 1;
+        Some(i * 64 + bit)
     }
 
     /// Moves `line`'s queued requests to `out`, in arrival order.
@@ -118,7 +131,7 @@ impl Sim {
         let line = self.lines.intern(msg.line());
         // Queue behind a transient state (except the writeback that
         // resolves it).
-        if matches!(self.dir.entry(line).state, DirState::AwaitWb(_))
+        if matches!(self.dir.entry(line).state, DirState::AwaitWb)
             && !matches!(msg, Msg::WbData { .. })
         {
             self.dir.queued.push((line, msg));
@@ -132,39 +145,36 @@ impl Sim {
         let e = self.dir.entry(line);
         let mem = e.mem;
         match msg {
-            Msg::GetS { .. } => {
-                // Move the state out instead of cloning it.
-                let sharers = match std::mem::replace(&mut e.state, DirState::Invalid) {
-                    DirState::Invalid => SharerSet::one(from),
-                    DirState::Shared(mut s) => {
-                        s.insert(from);
-                        s
-                    }
-                    DirState::Modified(owner) => {
-                        assert_ne!(owner, from, "owner re-requesting GetS");
-                        e.state = DirState::AwaitWb(SharerSet::two(owner, from));
-                        self.send(
-                            Node::Dir,
-                            Node::Core(owner),
-                            Msg::FwdGetS {
-                                line: addr,
-                                requester: from,
-                            },
-                        );
-                        return;
-                    }
-                    DirState::AwaitWb(_) => unreachable!("queued in dir_handle"),
-                };
-                e.state = DirState::Shared(sharers);
-                self.send_data(from, addr, mem, 0);
-            }
+            Msg::GetS { .. } => match e.state {
+                DirState::Invalid | DirState::Shared => {
+                    e.state = DirState::Shared;
+                    self.dir.add_sharer(line, from);
+                    self.send_data(from, addr, mem, 0);
+                }
+                DirState::Modified(owner) => {
+                    let owner = owner as usize;
+                    assert_ne!(owner, from, "owner re-requesting GetS");
+                    e.state = DirState::AwaitWb;
+                    self.dir.add_sharer(line, owner);
+                    self.dir.add_sharer(line, from);
+                    self.send(
+                        Node::Dir,
+                        Node::Core(owner),
+                        Msg::FwdGetS {
+                            line: addr,
+                            requester: from,
+                        },
+                    );
+                }
+                DirState::AwaitWb => unreachable!("queued in dir_handle"),
+            },
             Msg::GetM { .. } => {
                 // An Invalid line is a Shared one with no sharers: no
                 // invalidations, no acks to collect.
-                let sharers = match std::mem::replace(&mut e.state, DirState::Modified(from)) {
-                    DirState::Invalid => SharerSet::default(),
-                    DirState::Shared(s) => s,
+                match std::mem::replace(&mut e.state, DirState::Modified(from as u32)) {
+                    DirState::Invalid | DirState::Shared => {}
                     DirState::Modified(owner) => {
+                        let owner = owner as usize;
                         assert_ne!(owner, from, "owner re-requesting GetM");
                         self.send(
                             Node::Dir,
@@ -176,33 +186,31 @@ impl Sim {
                         );
                         return;
                     }
-                    DirState::AwaitWb(_) => unreachable!("queued in dir_handle"),
-                };
-                let acks = sharers.iter().filter(|&&c| c != from).count() as u64;
+                    DirState::AwaitWb => unreachable!("queued in dir_handle"),
+                }
+                // Every sharer but the requester acks; popping them
+                // leaves the Modified line with none.
+                self.dir.remove_sharer(line, from);
+                let acks = self.dir.count_sharers(line);
                 // The data response and all invalidations leave
-                // back-to-back: the concurrency that makes HTM CAS
-                // failures scale (§3.3).
+                // back-to-back, in ascending core order: the concurrency
+                // that makes HTM CAS failures scale (§3.3).
                 self.send_data(from, addr, mem, acks);
-                for &c in sharers.iter() {
-                    if c != from {
-                        self.send(
-                            Node::Dir,
-                            Node::Core(c),
-                            Msg::Inv {
-                                line: addr,
-                                requester: from,
-                            },
-                        );
-                    }
+                while let Some(c) = self.dir.pop_sharer(line) {
+                    self.send(
+                        Node::Dir,
+                        Node::Core(c),
+                        Msg::Inv {
+                            line: addr,
+                            requester: from,
+                        },
+                    );
                 }
             }
             Msg::WbData { value, .. } => {
-                let DirState::AwaitWb(sharers) = std::mem::replace(&mut e.state, DirState::Invalid)
-                else {
-                    panic!("unexpected WbData");
-                };
+                assert!(matches!(e.state, DirState::AwaitWb), "unexpected WbData");
                 e.mem = value;
-                e.state = DirState::Shared(sharers);
+                e.state = DirState::Shared;
                 // Replay requests that queued behind the writeback, from
                 // a reusable scratch vector. The replayed messages are
                 // GetS/GetM only (WbData is never queued), so a replay

@@ -43,19 +43,21 @@
 //!
 //! ### State layout and the uncontended fast path
 //!
-//! Line addresses are interned into a dense `LineId` arena; everything
-//! keyed per line — the line's value, each cache's state byte, the
-//! directory entry — is an arena-indexed array rather than a hash map, so
-//! the per-operation hit check is a couple of indexed loads. Under the
-//! single-writer model every valid copy of a line holds the same value,
-//! so the arena stores it once: a line costs 8 B of value, 1 B of state
-//! per cache and a 40 B directory entry, and a 176-core machine about
-//! 225 B per line it touches. On top of that layout, `submit_op` decides
-//! uncontended local hits at submission: the state mutation happens
-//! immediately (or is delegated for RMWs) and a single stand-in event —
-//! no directory messages, no inbox traversal, no per-op dispatch —
-//! retires the op at exactly the time and event-sequence position the
-//! full protocol would have used. The admission conditions (see
+//! Every 8-byte word is its own line. A page table over word addresses
+//! gives each line a dense `LineId`, and everything keyed per line — the
+//! line's value, each cache's state byte, the directory entry and its
+//! sharer bits — is an array indexed by it, with no hash map and no heap
+//! allocation per line, so the per-operation hit check is a couple of
+//! indexed loads. Under the single-writer model every valid copy of a
+//! line holds the same value, so the arena stores it once: a line costs
+//! 8 B of value, a 4 B table slot, 1 B of state per cache, a 16 B
+//! directory entry and a sharer bit per cache, and a 176-core machine
+//! about 229 B per line it touches. On top of that layout, `submit_op`
+//! decides uncontended local hits at submission: the state mutation
+//! happens immediately (or is delegated for RMWs) and a single stand-in
+//! event — no directory messages, no inbox traversal, no per-op
+//! dispatch — retires the op at exactly the time and event-sequence
+//! position the full protocol would have used. The admission conditions (see
 //! `Sim::try_fast_path`) are chosen so this is provably bit-exact with
 //! the full protocol, which remains available as the semantic reference
 //! via `MachineConfig::fast_path = false`.
@@ -69,28 +71,41 @@ mod protocol;
 mod spine;
 
 use crate::config::{HomePolicy, MachineConfig};
-use crate::fxhash::FxHashMap;
 use crate::msg::{Msg, Node};
 use crate::stats::{Stats, TraceEvent};
-use cache::{decode_state, Cache, OpState};
+use cache::{decode_state, CState, Cache, OpState};
 use directory::Directory;
 use event::{Event, EventQ};
 use simrng::SimRng;
 use std::sync::Arc;
 
-/// Dense index of an interned line address. Word-granular simulated
-/// memory recycles addresses through `simalloc`, so the arena grows only
-/// with the lines a run has touched, and every per-line array is indexed
-/// by it: 8 B of value per line, 1 B of state per cache per line, and a
-/// 40 B directory entry.
+/// Dense index of an interned line address, in first-touch order. The
+/// engine is word-granular (every 8-byte word is its own line), and
+/// `simalloc` recycles words, so the arena grows only with the lines a
+/// run has touched, and every per-line array is indexed by it.
 type LineId = u32;
 
-/// The address ⇄ id interner shared by the directory and every cache,
-/// and beside it each line's one current value.
+/// Words per page of the line table.
+const PAGE_WORDS: usize = 1024;
+
+/// The simulated memory's extent in words: a line id is a `u32`, and
+/// `Sim::submit_op` rejects any word at or past it.
+const WORD_SPACE: u64 = 1 << 32;
+
+/// The address → id index shared by the directory and every cache, and
+/// beside it each line's one current value.
+///
+/// The index is a two-level page table over word addresses: page
+/// `addr / PAGE_WORDS` holds a `u32` slot per word, `id + 1` of the
+/// word's line or 0 if no one has touched it, and is allocated the first
+/// time a word on it is touched. `simalloc` carves blocks in batches, so
+/// touched words cluster in runs far apart; a page covers a run's words
+/// at 4 B each, and an untouched stretch between runs costs one empty
+/// top-level pointer per page. Every address reaches the arena through
+/// `Sim::submit_op`, which keeps it below [`WORD_SPACE`].
 #[derive(Debug)]
 struct LineArena {
-    ids: FxHashMap<u64, LineId>,
-    addrs: Vec<u64>,
+    pages: Vec<Option<Box<[u32; PAGE_WORDS]>>>,
     /// Each line's value, indexed by [`LineId`]. Under the single-writer
     /// model (§3.1) no core writes a line while another holds a valid
     /// copy, so every valid copy holds this one value and a cache keeps
@@ -102,17 +117,15 @@ struct LineArena {
     /// One-entry lookup memo. Workloads hammer a handful of lines (a
     /// shared counter, a queue's head/tail), so consecutive lookups
     /// usually repeat the previous address; the memo answers them with a
-    /// compare instead of a hash probe. `u64::MAX` is never a line
-    /// address (word-granular addresses come from `simalloc`), so it
-    /// serves as the empty sentinel.
+    /// compare instead of two dependent loads. `u64::MAX` is past
+    /// [`WORD_SPACE`], so it serves as the empty sentinel.
     last: (u64, LineId),
 }
 
 impl Default for LineArena {
     fn default() -> Self {
         LineArena {
-            ids: FxHashMap::default(),
-            addrs: Vec::new(),
+            pages: Vec::new(),
             values: Vec::new(),
             last: (u64::MAX, 0),
         }
@@ -126,14 +139,19 @@ impl LineArena {
         if self.last.0 == addr {
             return self.last.1;
         }
-        let id = if let Some(&id) = self.ids.get(&addr) {
-            id
-        } else {
-            let id = self.addrs.len() as LineId;
-            self.addrs.push(addr);
-            self.values.push(0);
-            self.ids.insert(addr, id);
-            id
+        let (page, word) = (addr as usize / PAGE_WORDS, addr as usize % PAGE_WORDS);
+        if self.pages.len() <= page {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let slot = &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_WORDS]))[word];
+        let id = match slot.checked_sub(1) {
+            Some(id) => id,
+            None => {
+                let id = self.values.len() as LineId;
+                self.values.push(0);
+                *slot = id + 1;
+                id
+            }
         };
         self.last = (addr, id);
         id
@@ -145,18 +163,35 @@ impl LineArena {
         if self.last.0 == addr {
             return Some(self.last.1);
         }
-        let id = self.ids.get(&addr).copied();
-        if let Some(id) = id {
-            self.last = (addr, id);
+        let page = self.pages.get(addr as usize / PAGE_WORDS)?.as_ref()?;
+        let id = page[addr as usize % PAGE_WORDS].checked_sub(1)?;
+        self.last = (addr, id);
+        Some(id)
+    }
+
+    /// Address of the line `id`, found by a scan of the table: for the
+    /// messages that have only the id at hand, such as a failed invariant.
+    fn addr_of(&self, id: LineId) -> u64 {
+        for (p, page) in self.pages.iter().enumerate() {
+            if let Some(w) = page
+                .as_ref()
+                .and_then(|pg| pg.iter().position(|&s| s == id + 1))
+            {
+                return (p * PAGE_WORDS + w) as u64;
+            }
         }
-        id
+        unreachable!("line {id} was never interned")
     }
 
     /// Number of distinct lines ever touched.
     fn len(&self) -> usize {
-        self.addrs.len()
+        self.values.len()
     }
 }
+
+/// `Sim::first_touch` of a line no request has reached the interconnect
+/// for.
+const NO_HOME: u32 = u32::MAX;
 
 /// A memory operation as issued by a thread.
 #[derive(Debug, Clone, Copy)]
@@ -237,11 +272,11 @@ pub struct Sim {
     dir_free_at: Vec<u64>,
     /// Number of sockets the topology spans.
     nsockets: usize,
-    /// First-touch home assignments (`HomePolicy::FirstTouch` only):
-    /// line address → socket of the first core whose request for it hit
-    /// the interconnect. A separate map rather than the line arena so
-    /// the policy cannot perturb intern order.
-    first_touch: FxHashMap<u64, usize>,
+    /// First-touch home assignments, indexed by [`LineId`]: the socket
+    /// of the first core whose request for the line hit the
+    /// interconnect, or `NO_HOME` before that. Grown only under
+    /// `HomePolicy::FirstTouch`.
+    first_touch: Vec<u32>,
     /// Earliest time each cache can serve its next incoming request.
     cache_free_at: Vec<u64>,
     /// Number of `Deliver`-to-core events currently in the wheel, per
@@ -275,7 +310,7 @@ impl Sim {
             seq: 0,
             events: EventQ::new(),
             lines: LineArena::default(),
-            dir: Directory::default(),
+            dir: Directory::new(ncaches),
             caches,
             op_inbox: vec![None; ncaches],
             resumes: Vec::new(),
@@ -284,7 +319,7 @@ impl Sim {
             check_countdown: 0,
             dir_free_at: vec![0; nsockets],
             nsockets,
-            first_touch: FxHashMap::default(),
+            first_touch: Vec::new(),
             cache_free_at: vec![0; ncaches],
             inflight_to: vec![0; ncaches],
             hop_min: cfg.hop_intra.min(cfg.hop_cross),
@@ -318,7 +353,9 @@ impl Sim {
     /// the core on the other end of the directory leg — the assignee
     /// under the first-touch policy (the first directory-bound message
     /// for any line is its requester's GetS/GetM, so the entry a later
-    /// Dir→core reply looks up always exists by then).
+    /// Dir→core reply looks up always exists by then). Every message
+    /// concerns a line its sender interned, so the lookup here never
+    /// assigns a new id.
     fn home_socket_of(&mut self, addr: u64, toucher: usize) -> usize {
         match self.cfg.home_policy {
             HomePolicy::Fixed => 0,
@@ -326,8 +363,15 @@ impl Sim {
                 (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.nsockets
             }
             HomePolicy::FirstTouch => {
-                let s = self.caches[toucher].socket;
-                *self.first_touch.entry(addr).or_insert(s)
+                let line = self.lines.intern(addr) as usize;
+                if self.first_touch.len() <= line {
+                    self.first_touch.resize(line + 1, NO_HOME);
+                }
+                let home = &mut self.first_touch[line];
+                if *home == NO_HOME {
+                    *home = self.caches[toucher].socket as u32;
+                }
+                *home as usize
             }
         }
     }
@@ -401,6 +445,12 @@ impl Sim {
             "core {core} already has an op"
         );
         assert_eq!(self.caches[core].op_state, OpState::Idle);
+        if let Some(addr) = op_line(&op) {
+            assert!(
+                addr < WORD_SPACE,
+                "word {addr:#x} is past the simulated memory's 2^32 words"
+            );
+        }
         let mut t = at.max(self.clock) + self.cfg.op_cycles;
         // A thread's local time may lag the event clock (the clock keeps
         // advancing while the thread runs user code), so `at < now()` is
@@ -525,15 +575,32 @@ impl Sim {
     // Invariants
     // ------------------------------------------------------------------
 
-    /// Single-writer/multi-reader: at most one cache in M per line.
+    /// Single-writer/multi-reader: a line one cache holds in M is valid
+    /// in no other cache. The caches alone decide it; the directory's
+    /// view lags theirs while invalidations are in flight.
     fn check_invariants(&self) {
-        let mut owners: Vec<Option<usize>> = vec![None; self.lines.len()];
+        // Per line, the M holder and one S holder seen so far.
+        let mut seen: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); self.lines.len()];
+        let broken = |line: usize, what: String| -> ! {
+            let addr = self.lines.addr_of(line as LineId);
+            panic!("line {addr:#x}: {what}")
+        };
         for (i, c) in self.caches.iter().enumerate() {
             for (line, &f) in c.flags.iter().enumerate() {
-                if decode_state(f).writable() {
-                    if let Some(prev) = owners[line].replace(i) {
-                        let addr = self.lines.addrs[line];
-                        panic!("line {addr:#x}: two M holders: C{prev} and C{i}");
+                let (owner, reader) = &mut seen[line];
+                match decode_state(f) {
+                    CState::Invalid => {}
+                    CState::Shared => match *owner {
+                        Some(o) => broken(line, format!("C{i} holds S beside the M holder C{o}")),
+                        None => *reader = Some(i),
+                    },
+                    CState::Modified => {
+                        if let Some(prev) = owner.replace(i) {
+                            broken(line, format!("two M holders: C{prev} and C{i}"));
+                        }
+                        if let Some(r) = *reader {
+                            broken(line, format!("C{r} holds S beside the M holder C{i}"));
+                        }
                     }
                 }
             }

@@ -203,7 +203,7 @@ impl Sim {
         // Hand the line over: a Fwd-GetS downgrades our copy to Shared
         // and writes the value back to the directory; a Fwd-GetM
         // invalidates it.
-        let addr = self.lines.addrs[line as usize];
+        let addr = msg.line();
         let v = {
             let cache = &mut self.caches[core];
             assert!(cache.state(line).writable(), "{msg:?} to non-owner");

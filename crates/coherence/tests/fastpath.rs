@@ -412,3 +412,13 @@ fn lagging_submission_never_schedules_into_the_past() {
     assert!(r.time >= clock);
     assert!(matches!(r.outcome, OpOutcome::Val(2)));
 }
+
+/// Simulated memory spans 2^32 words, so a line id fits a `u32`: an op
+/// on a word past it panics at submission, naming the word, before the
+/// line table grows to reach it.
+#[test]
+#[should_panic(expected = "word 0x100000000 is past the simulated memory's 2^32 words")]
+fn submission_past_the_word_space_panics() {
+    let mut sim = Sim::new(Arc::new(MachineConfig::single_socket(2)));
+    sim.submit_op(0, 0, OpKind::Read(1 << 32));
+}
