@@ -9,7 +9,7 @@
 //! * [`fig`] — the [`fig::Figure`] registry that renders each figure's
 //!   data series as TSV (figure id → DESIGN.md §4 maps it to the paper).
 //!
-//! `simctl fig <name|all> [ops= threads= grid= jobs= out=]` is the one
+//! `simctl fig <name|all> [ops= threads= grid= jobs=]` is the one
 //! command that regenerates a figure. Host-time measurement lives in the
 //! separate `perfbench` crate (see `perfbench/README.md`).
 

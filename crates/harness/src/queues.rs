@@ -22,16 +22,12 @@ pub struct QueueParams {
     /// Basket cell count (the paper fixes 44).
     pub basket_capacity: usize,
     /// TxCAS tuning for SBQ-HTM. On the simulator these delays are exact
-    /// simulated cycles inside/around the hardware transaction; on the
-    /// native substrate (no HTM) `intra_delay` becomes the pre-CAS
-    /// busy-wait of the [`DelayedCas`] stand-in.
+    /// simulated cycles inside/around the hardware transaction.
+    /// `intra_delay` is also SBQ-CAS's pre-CAS delay (the paper gives it
+    /// the same delay as TxCAS) and, on the native substrate (no HTM),
+    /// the busy-wait of the [`DelayedCas`] stand-in: a calibrated
+    /// `absmem::native::busy_wait_cycles` of `intra_delay / 2.2` ns.
     pub txcas: TxCasParams,
-    /// Delay for SBQ-CAS (the paper gives it the same delay as TxCAS).
-    /// Cycles at the nominal 2.2 GHz clock on both substrates: exact
-    /// simulated cycles on the simulator, a calibrated busy-wait
-    /// (`absmem::native::busy_wait_cycles`) of `delay_cycles / 2.2` ns on
-    /// native hardware.
-    pub delay_cycles: u64,
 }
 
 impl Default for QueueParams {
@@ -41,7 +37,6 @@ impl Default for QueueParams {
             enqueuers: 64,
             basket_capacity: 44,
             txcas: TxCasParams::default(),
-            delay_cycles: TxCasParams::default().intra_delay,
         }
     }
 }
@@ -60,7 +55,6 @@ impl QueueParams {
                 post_abort_delay: 40,
                 max_retries: 12,
             },
-            delay_cycles: 200,
         }
     }
 
@@ -172,7 +166,7 @@ impl<C: ThreadCtx> QueueAdapter<C> for SbqCasQ {
 
     fn create(ctx: &mut C, p: &QueueParams) -> u64 {
         let strat = DelayedCas {
-            delay_cycles: p.delay_cycles,
+            delay_cycles: p.txcas.intra_delay,
         };
         ModularQueue::new(ctx, p.basket(), strat, p.queue_config()).base()
     }
@@ -180,7 +174,7 @@ impl<C: ThreadCtx> QueueAdapter<C> for SbqCasQ {
     fn attach(base: u64, ctx: &mut C, p: &QueueParams) -> Self {
         let _ = ctx;
         let strat = DelayedCas {
-            delay_cycles: p.delay_cycles,
+            delay_cycles: p.txcas.intra_delay,
         };
         SbqCasQ {
             q: ModularQueue::from_base(base, p.basket(), strat, p.queue_config()),

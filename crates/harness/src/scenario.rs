@@ -17,7 +17,7 @@
 //! Every scenario runs on the simulator backend, records a full
 //! linearizability-checked history, and folds the observable result into
 //! a deterministic key=value summary: same spec, same bytes, on either
-//! scheduler — which is exactly what the `component-smoke` CI job diffs.
+//! scheduler — which is exactly what CI's smoke job diffs.
 
 use crate::backend::SimBackend;
 use crate::history::{

@@ -51,7 +51,6 @@
 //! threads  comma-separated thread sweep       default per figure
 //! grid     sockets x threads list (numa)      default 1x44,2x88,4x176
 //! jobs     sweep points in parallel; 0 = auto default 0
-//! out      also write the TSV here (optional)
 //! ```
 //!
 //! A figure takes only the keys it uses: the trace reproductions (fig2,
@@ -73,7 +72,7 @@
 //!
 //! ```text
 //! out      trace output path    default TRACE_<queue>_<backend>.json
-//! tsv-out  also write the span TSV here (optional)
+//! tsv-out  write the span TSV here (optional)
 //! ```
 //!
 //! On the simulator the document additionally carries the coherence
@@ -81,9 +80,6 @@
 //! is byte-identical across runs of the same configuration; on native
 //! only the per-thread op spans exist. The document is validated against
 //! the trace schema before it is written.
-//!
-//! `simctl trace-validate <file>` re-validates any such document and
-//! prints a summary (exit 1 if invalid).
 //!
 //! `simctl fuzz [key=value ...]` runs a [`simfuzz`] campaign —
 //! randomized workloads with fault injection, every history
@@ -118,8 +114,8 @@
 //! pool → egress with both stage boundaries backed by the chosen queue,
 //! one run per offered rate, and the saturation knee (first point whose
 //! e2e p99 exceeds the SLO or whose ingress depth diverges) is
-//! detected. The curve prints as TSV; `out=` also writes the
-//! `sbq-loadgen-v1` JSON document. Keys:
+//! detected. The curve prints as TSV; `out=` writes the
+//! `sbq-loadgen-v1` JSON document, checked before it is written. Keys:
 //!
 //! ```text
 //! backend  sim (default) or native
@@ -136,15 +132,11 @@
 //! depth-slo ingress depth budget (0 = auto requests/4, min 16)
 //! jobs     rate points in parallel; 0 = auto  default 1
 //! out      write the JSON document here (optional)
-//! tsv-out  also write the TSV here (optional)
 //! ```
 //!
 //! On the simulator the TSV/JSON output is a pure function of the plan:
 //! byte-identical across repeats and across `jobs` values (neither job
-//! count nor wall-clock time appears in the artifact). `simctl
-//! load-check <file.json>` validates such a document: schema tag,
-//! ordered percentiles per point, full completion, and a knee that
-//! points at an actual probed rate (exit 1 on violation).
+//! count nor wall-clock time appears in the artifact).
 //!
 //! `simctl scenario <preempt|timer|dma> [key=value ...]` runs one
 //! component-actor scenario (see [`harness::scenario`]) on the
@@ -164,9 +156,14 @@
 //! batch    burst size (dma)                   default 4
 //! divider  gate clock divider (dma)           default 2
 //! seed     machine RNG seed                   default 1
-//! out      write the summary here (optional)
 //! trace-out  write a validated Chrome trace here (optional)
 //! ```
+//!
+//! `simctl check <file>` validates a document simctl writes, telling
+//! the kind by its content: a Chrome trace (a `traceEvents` array) goes
+//! through [`obs::validate`], an `sbq-loadgen-v1` document through
+//! [`loadgen::check_json`]. Exit 0 if valid, 1 if invalid or of neither
+//! kind, 2 if unreadable.
 
 use bench::fig::Figure;
 use bench::workload::{paper_workload, run_workload, trace_workload, Workload, WorkloadKind};
@@ -183,25 +180,24 @@ usage:
       one closed-loop workload point (queues: sbq-htm sbq-cas sbq-striped
       bq wf cc ms; workloads: producer consumer mixed; keys: ops backend
       delay basket sockets, and the machine keys below)
-  simctl fig <name|all> [ops= threads= grid= jobs= out=]
+  simctl fig <name|all> [ops= threads= grid= jobs=]
       regenerate a figure as TSV (fig1 fig2 fig3 fig5 fig6 fig7 speedups
       ablate-delay ablate-fix ablate-basket ablate-deq numa, or all);
       `numa` sweeps a sockets x threads grid (default 1x44,2x88,4x176)
   simctl trace <queue> <workload> <threads> [key=value ...] [out=PATH] [tsv-out=PATH]
       one observed run exported as a Chrome trace-event JSON document
-  simctl trace-validate <file.json>
-      re-validate an exported trace document (exit 1 if invalid)
   simctl fuzz [seeds= start= queue= backend=sim|native artifacts= jobs= runner-trace= repro=]
       randomized linearizability fuzzing with shrinking + replay artifacts
   simctl load <queue> [key=value ...]
       open-loop load sweep with knee detection (keys: backend pattern
       rates requests sources workers egress service jitter poll seed
-      slo-p99 depth-slo jobs out tsv-out)
-  simctl load-check <file.json>
-      validate an sbq-loadgen-v1 document (exit 1 if invalid)
+      slo-p99 depth-slo jobs out)
   simctl scenario <preempt|timer|dma> [key=value ...]
       one component-actor scenario with a deterministic summary (keys:
-      queue workers ops period cost batch divider seed out trace-out)
+      queue workers ops period cost batch divider seed trace-out)
+  simctl check <file.json>
+      validate a Chrome trace or an sbq-loadgen-v1 document (exit 1 if
+      invalid or neither, 2 if unreadable)
   simctl help | --help | -h
       this text
 
@@ -347,7 +343,6 @@ fn parse_run_spec(args: &[String]) -> Res<(RunSpec, Keys)> {
         .unwrap_or(BackendKind::Sim);
     if let Some(delay) = keys.num("delay")? {
         w.qp.txcas.intra_delay = delay;
-        w.qp.delay_cycles = delay;
     }
     if let Some(basket) = keys.get("basket", positive)? {
         w.qp.basket_capacity = basket;
@@ -521,7 +516,6 @@ fn fig_main(args: &[String]) -> Res<()> {
         _ => keys.get("grid", bench::fig::numa_grid)?,
     };
     let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(0));
-    let out = keys.str("out");
     keys.finish()?;
 
     let (threads, grid) = (threads.as_deref(), grid.as_deref());
@@ -530,10 +524,6 @@ fn fig_main(args: &[String]) -> Res<()> {
         None => bench::fig::all_text(ops, threads, grid, jobs),
     };
     print!("{text}");
-    if let Some(path) = out {
-        write_file(&path, &text);
-        eprintln!("wrote {path}");
-    }
     Ok(())
 }
 
@@ -572,39 +562,6 @@ fn trace_main(args: &[String]) -> Res<()> {
         m.p99_ns,
         m.max_ns
     );
-    Ok(())
-}
-
-/// Parses `<file>` with no keys and reads the file (exit 2 if unreadable).
-fn read_file_arg(args: &[String]) -> Res<(String, String)> {
-    let (pos, keys) = split_args(args, 1, "<file>")?;
-    keys.finish()?;
-    let path = pos[0].clone();
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    Ok((path, text))
-}
-
-fn trace_validate_main(args: &[String]) -> Res<()> {
-    let (path, text) = read_file_arg(args)?;
-    match obs::validate(&text) {
-        Ok(sum) => {
-            println!(
-                "{path}: valid — {} events ({} spans, {} instants, {} meta) on {} tracks",
-                sum.events,
-                sum.spans,
-                sum.instants,
-                sum.meta,
-                sum.tracks.len()
-            );
-        }
-        Err(e) => {
-            eprintln!("{path}: INVALID — {e}");
-            std::process::exit(1);
-        }
-    }
     Ok(())
 }
 
@@ -657,7 +614,6 @@ fn load_main(args: &[String]) -> Res<()> {
     let depth_slo = keys.num("depth-slo")?.unwrap_or(0);
     let jobs = jobs_or_auto(keys.num("jobs")?.unwrap_or(1));
     let out = keys.str("out");
-    let tsv_out = keys.str("tsv-out");
     keys.finish()?;
     plan.validate().map_err(|e| format!("invalid plan: {e}"))?;
     let rates = rates.unwrap_or_else(|| loadgen::default_rates(&plan));
@@ -687,30 +643,16 @@ fn load_main(args: &[String]) -> Res<()> {
             r.points.last().map_or(0, |p| p.offered_rps)
         ),
     }
-    if let Some(path) = tsv_out {
-        write_file(&path, &loadgen::to_tsv(&r));
-    }
     if let Some(path) = out {
-        write_file(&path, &loadgen::to_json(&r));
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// Validates an `sbq-loadgen-v1` document with [`loadgen::check_json`]:
-/// exit 1 if it is not JSON or not valid.
-fn load_check_main(args: &[String]) -> Res<()> {
-    let (path, text) = read_file_arg(args)?;
-    let doc = obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: not JSON — {e}");
-        std::process::exit(1);
-    });
-    match loadgen::check_json(&doc) {
-        Ok(summary) => println!("{path}: ok — {summary}"),
-        Err(e) => {
-            eprintln!("{path}: INVALID — {e}");
+        let json = loadgen::to_json(&r);
+        // Same self-check as `simctl trace`: never write a document that
+        // `simctl check` would reject.
+        if let Err(e) = obs::json::parse(&json).and_then(|doc| loadgen::check_json(&doc)) {
+            eprintln!("internal error: load document fails its check: {e}");
             std::process::exit(1);
         }
+        write_file(&path, &json);
+        eprintln!("wrote {path}");
     }
     Ok(())
 }
@@ -738,7 +680,6 @@ fn scenario_main(args: &[String]) -> Res<()> {
         seed: keys.num("seed")?.unwrap_or(d.seed),
         ..d
     };
-    let out = keys.str("out");
     let trace_out = keys.str("trace-out");
     keys.finish()?;
     spec.validate()?;
@@ -746,14 +687,10 @@ fn scenario_main(args: &[String]) -> Res<()> {
 
     let outcome = run_scenario(&spec);
     print!("{}", outcome.summary);
-    if let Some(path) = out {
-        write_file(&path, &outcome.summary);
-        eprintln!("wrote summary to {path}");
-    }
     if let Some(path) = trace_out {
         let json = outcome.chrome_json.expect("trace-out requested a trace");
         // Same self-check as `simctl trace`: never write a document that
-        // `simctl trace-validate` would reject.
+        // `simctl check` would reject.
         if let Err(e) = obs::validate(&json) {
             eprintln!("internal error: scenario trace failed validation: {e}");
             std::process::exit(1);
@@ -768,6 +705,46 @@ fn scenario_main(args: &[String]) -> Res<()> {
     Ok(())
 }
 
+/// `simctl check <file>`: validates a Chrome trace or an
+/// `sbq-loadgen-v1` document, told apart by content. Exit 1 if it is
+/// invalid, not JSON, or neither kind; 2 if it cannot be read.
+fn check_main(args: &[String]) -> Res<()> {
+    let (pos, keys) = split_args(args, 1, "<file>")?;
+    keys.finish()?;
+    let path = &pos[0];
+    let bytes = std::fs::read(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2);
+    });
+    let text = String::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"));
+    let verdict = text.and_then(|text| {
+        let doc = obs::json::parse(&text)?;
+        if doc.get("traceEvents").is_some() {
+            let sum = obs::validate(&text)?;
+            Ok(format!(
+                "Chrome trace, {} events ({} spans, {} instants, {} meta) on {} tracks",
+                sum.events,
+                sum.spans,
+                sum.instants,
+                sum.meta,
+                sum.tracks.len()
+            ))
+        } else if doc.get("schema").is_some() {
+            loadgen::check_json(&doc)
+        } else {
+            Err("neither a Chrome trace (`traceEvents`) nor a load document (`schema`)".into())
+        }
+    });
+    match verdict {
+        Ok(summary) => println!("{path}: valid — {summary}"),
+        Err(e) => {
+            eprintln!("{path}: INVALID — {e}");
+            std::process::exit(1);
+        }
+    }
+    Ok(())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rest = args.get(1..).unwrap_or_default();
@@ -775,10 +752,9 @@ fn main() {
         Some("fig") => fig_main(rest),
         Some("fuzz") => fuzz_main(rest),
         Some("trace") => trace_main(rest),
-        Some("trace-validate") => trace_validate_main(rest),
         Some("load") => load_main(rest),
-        Some("load-check") => load_check_main(rest),
         Some("scenario") => scenario_main(rest),
+        Some("check") => check_main(rest),
         Some("help") | Some("--help") | Some("-h") => {
             println!("{}", help());
             Ok(())

@@ -33,7 +33,6 @@ fn params() -> QueueParams {
             intra_delay: 120,
             ..Default::default()
         },
-        delay_cycles: 120,
     }
 }
 

@@ -1,7 +1,8 @@
 //! The `simctl` command-line surface, driven through the built binary:
-//! the help text names every subcommand and machine key, and retired
+//! the help text names every subcommand and machine key, retired
 //! subcommands and keys and malformed arguments, including zero or
-//! too-small counts, exit 2 with the usage text.
+//! too-small counts, exit 2 with the usage text, and `simctl check`
+//! accepts the documents simctl writes.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -53,11 +54,10 @@ fn help_lists_every_subcommand() {
             "<queue> <workload> <threads>",
             "fig",
             "trace",
-            "trace-validate",
             "fuzz",
             "load",
-            "load-check",
             "scenario",
+            "check",
             "help",
         ] {
             assert!(
@@ -66,7 +66,7 @@ fn help_lists_every_subcommand() {
             );
         }
         // Retired entry points stay out of the help text.
-        for gone in ["simctl bench", "figures"] {
+        for gone in ["simctl bench", "figures", "trace-validate", "load-check"] {
             assert!(!help.contains(gone), "help still names `{gone}`:\n{help}");
         }
     }
@@ -76,6 +76,62 @@ fn help_lists_every_subcommand() {
 fn retired_bench_subcommands_are_usage_errors() {
     assert_usage_error(&["bench"]);
     assert_usage_error(&["bench-check", "x.json"]);
+}
+
+/// `simctl check` replaced the two per-format checkers, and a key that
+/// only wrote a second copy of stdout is gone: redirect stdout instead.
+#[test]
+fn retired_checkers_and_stdout_copies_are_usage_errors() {
+    assert_usage_error(&["trace-validate", "x"]);
+    assert_usage_error(&["load-check", "x"]);
+    assert_usage_error(&["fig", "fig1", "out=x"]);
+    assert_usage_error(&["load", "sbq-htm", "tsv-out=x"]);
+    assert_usage_error(&["scenario", "preempt", "out=x"]);
+}
+
+/// `simctl check` tells a Chrome trace from a load document by content:
+/// exit 0 on either as simctl writes it, 1 on JSON of neither kind and
+/// on non-JSON, 2 on a file it cannot read.
+#[test]
+fn check_accepts_what_simctl_writes() {
+    let dir = std::env::temp_dir().join(format!("sbq-simctl-check-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (trace, load) = (path("trace.json"), path("load.json"));
+    let out = simctl(&[
+        "trace",
+        "ms",
+        "producer",
+        "2",
+        "ops=4",
+        &format!("out={trace}"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let out = simctl(&[
+        "load",
+        "ms",
+        "requests=8",
+        "rates=100000",
+        &format!("out={load}"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    std::fs::write(path("neither.json"), r#"{"points": []}"#).unwrap();
+    std::fs::write(path("text.json"), "not json").unwrap();
+    for (file, code) in [
+        (trace, 0),
+        (load, 0),
+        (path("neither.json"), 1),
+        (path("text.json"), 1),
+        (path("missing.json"), 2),
+    ] {
+        let out = simctl(&["check", &file]);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "simctl check {file}: {out:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
